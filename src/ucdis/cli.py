@@ -73,7 +73,12 @@ def _workers(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("UCDIS_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError as e:
+        raise _CliError(EXIT_VALIDATION, f"UCDIS_THREADS must be an integer, got {env!r}") from e
 
 
 def cmd_bounds(args) -> int:
@@ -174,9 +179,9 @@ def cmd_decode(args) -> int:
     blob = _read_bytes(args.infile)
     try:
         container = codec.unpack_container(blob)
-    except codec.FramingError as e:
+        family = SourceFamily(container.family_kind, container.k)
+    except ValueError as e:  # FramingError included
         raise _CliError(EXIT_VALIDATION, f"{args.infile}: {e}") from e
-    family = SourceFamily(container.family_kind, container.k)
     if container.strategy == "ucomp":
         x = codec.decode_ucomp(family, container.payload, container.n)
     elif container.strategy == "ucompm":
@@ -190,17 +195,21 @@ def cmd_decode(args) -> int:
             )
         x = codec.decode_ucompm(family, y, container.payload, container.n)
     else:
+        if family.kind != MEMORYLESS:
+            raise _CliError(
+                EXIT_VALIDATION,
+                f"{args.infile}: ducompm container of family {family.kind}; "
+                "ducompm supports only memoryless sources",
+            )
         if args.memory is None:
             raise _CliError(EXIT_VALIDATION, "--memory is required to decode a ducompm container")
         y = _symbols_from_file(args.memory, container.k)
-        cfg = ducompm.DucompmConfig(
-            k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
-        )
         try:
+            cfg = ducompm.DucompmConfig(
+                k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
+            )
             outcome = ducompm.decode_ducompm(container.payload, y, container.n, cfg)
-        except codec.FramingError as e:
-            raise _CliError(EXIT_VALIDATION, str(e)) from e
-        except (ValueError, ducompm.ResourceLimitError) as e:
+        except (ValueError, ducompm.ResourceLimitError) as e:  # FramingError included
             raise _CliError(EXIT_VALIDATION, str(e)) from e
         if not outcome.ok:
             raise _CliError(EXIT_DECODE_FAILURE, f"declared decode failure: {outcome.failure_reason}")

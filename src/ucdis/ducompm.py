@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -36,8 +38,8 @@ DEFAULT_CANDIDATE_CAP = 10_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Candidate enumeration would exceed the configured cap (a configuration
-    error, not a coding error)."""
+    """The ellipsoid walk visited more lattice points than the configured
+    candidate cap (a configuration error, not a coding error)."""
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,6 @@ class Ellipsoid:
         self._center_free = [float(c) for c in center[: self._d]]
         self._a_rows = [[float(r * fisher[i, j]) for j in range(self._d)] for i in range(self._d)]
 
-    @property
-    def precision(self) -> np.ndarray:
-        """r times the Fisher matrix (inverse covariance of the type estimate)."""
-        return self.r * self.fisher
-
 
 def type_of(x, k: int) -> np.ndarray:
     """Count vector of a sequence (its type); ml_estimate equals type/n."""
@@ -160,51 +157,135 @@ def ellipsoid_contains(e: Ellipsoid, t, n: int) -> bool:
     return _qform(e, t, n) <= e.chi2_threshold
 
 
+# The walker's floating-point values differ from _qform's in the last bits, so
+# it widens its outer bounds and shrinks its inner bound by an absolute margin
+# and leaves the points in between to _qform.  With u = 2**-53, T =
+# sum_i sqrt(a_ii) * (1 + |c_i|) and S = T**2 + |threshold|: every visited t has
+# t/n in [0, 1], so |v_i| <= 1 + |c_i|, and the positive definite A has
+# |a_ij| <= sqrt(a_ii a_jj), hence |v|'|A||v| <= T**2.  To first order in u,
+# - _qform errs by at most (2d + 4) u T**2: 2u (1 + |c_i|) on each v_i, and
+#   gamma_2d |v|'|A||v| for the sums (Higham, "Accuracy and Stability of
+#   Numerical Algorithms", 2002, section 3.1);
+# - the computed factor is exact for A + E, |E_ij| <= gamma_(d+1)
+#   sqrt(a_ii a_jj) (Higham, Theorem 10.3), which moves the form by at most
+#   (d + 1) u T**2;
+# - the walker's partial sums add d terms D_i (t_i/n - mu_i)**2.  As D_i <=
+#   a_ii and sqrt(D_i) |M_ij| <= sqrt(a_jj), sqrt(D_i) times the rounding of
+#   t_i/n - mu_i is at most (d + 4) u T, so each term is off by at most
+#   (2d + 11) u S and their sum by d u S more;
+# - the interval ends n (mu_i +- h) carry 4u relative error, worth at most
+#   16 u S on the form.
+# The sum stays below 40 d**2 u S for d >= 1; the margin 2**-40 d**2 S is 204
+# times that, which also covers the dropped O(u**2) terms.
+_EDGE_MARGIN = 2.0**-40
+
+
+def _lines(e: Ellipsoid, n: int, k: int, cap: int):
+    """Fincke-Pohst walk: the region's types as integer lines, one per prefix.
+
+    Yields ``(prefix, rest, lo, lo_in, hi_in, hi)`` in ascending
+    lexicographic order of ``prefix`` (the first k - 2 counts).  On the line
+    ``prefix + (t, rest - t)``, no type with t outside [lo, hi] lies in the
+    region, every type with lo_in <= t <= hi_in does (``_qform`` is at most
+    the threshold), and the rest must be tested; an empty inner range has
+    lo_in = hi + 1, hi_in = hi.  Raises ResourceLimitError once the walk has
+    visited more than ``cap`` lattice points.
+    """
+    d = k - 1
+    c = e._center_free
+    thr = e.chi2_threshold
+    # A = M' diag(D) M with M unit lower triangular (Cholesky on the reversed
+    # coordinates), so Q(v) = sum_i D_i (v_i + sum_(j<i) M_ij v_j)**2 and the
+    # i-th term depends on v_0..v_i only: a prefix whose partial sum already
+    # exceeds the threshold cannot reach the region.
+    a = [row[:] for row in e._a_rows]
+    piv = [0.0] * d
+    mult: list[list[float]] = [[]] * d
+    for i in reversed(range(d)):
+        p = a[i][i]
+        if not p > 0.0:
+            raise ValueError("r * Fisher is not positive definite")
+        piv[i] = p
+        mult[i] = [a[i][j] / p for j in range(i)]
+        for j, f in enumerate(mult[i]):
+            row = a[j]
+            for s in range(i):
+                row[s] -= f * a[i][s]
+    scale = sum(math.sqrt(e._a_rows[i][i]) * (1.0 + abs(c[i])) for i in range(d)) ** 2 + abs(thr)
+    margin = _EDGE_MARGIN * d * d * scale
+    outer, inner = thr + margin, thr - margin
+    visited = 0
+
+    def walk(i, prefix, v, rest, partial):
+        nonlocal visited
+        slack = outer - partial
+        if slack < 0.0:
+            return
+        mu = c[i] - sum(map(mul, mult[i], v))
+        mid = n * mu
+        half = n * math.sqrt(slack / piv[i])
+        lo = max(0, math.ceil(mid - half))
+        hi = min(rest, math.floor(mid + half))
+        if lo > hi:
+            return
+        visited += hi - lo + 1
+        if visited > cap:
+            raise ResourceLimitError(
+                f"ellipsoid walk visited more than candidate_cap={cap} lattice points; "
+                f"n={n}, k={k}"
+            )
+        if i == d - 1:
+            slack = inner - partial
+            lo_in, hi_in = hi + 1, hi
+            if slack >= 0.0:
+                half = n * math.sqrt(slack / piv[i])
+                lo_in = max(lo, math.ceil(mid - half))
+                hi_in = min(hi, math.floor(mid + half))
+                if lo_in > hi_in:
+                    lo_in, hi_in = hi + 1, hi
+            yield prefix, rest, lo, lo_in, hi_in, hi
+            return
+        for t in range(lo, hi + 1):
+            x = t / n
+            yield from walk(i + 1, prefix + (t,), v + [x - c[i]], rest - t,
+                            partial + piv[i] * (x - mu) ** 2)
+
+    return walk(0, (), [], n, 0.0)
+
+
 def enumerate_types_in_ellipsoid(
     e: Ellipsoid, n: int, k: int, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> list[tuple[int, ...]]:
     """All length-n types inside the region, in ascending lexicographic order.
 
-    Recursive coordinate bounding: each free coordinate ranges over the
-    integer interval cut from the ellipsoid's axis-aligned bounding box, then
-    candidates pass the exact membership form.  Raises ResourceLimitError if
-    the candidate box exceeds ``cap``.
+    Membership is the exact form ``_qform(e, t, n) <= chi2_threshold``; the
+    Fincke-Pohst walk only skips its evaluation where the outcome is certain.
+    Raises ResourceLimitError if the walk visits more than ``cap`` lattice
+    points.
     """
-    d = k - 1
-    a = e.r * e.fisher
     thr = e.chi2_threshold
-    a_inv = np.linalg.inv(a)
-    box = np.sqrt(np.maximum(thr * np.diag(a_inv), 0.0))
-    lo = [max(0, math.ceil(n * (e._center_free[i] - box[i]))) for i in range(d)]
-    hi = [min(n, math.floor(n * (e._center_free[i] + box[i]))) for i in range(d)]
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    box_size = 1
-    for l, h in zip(lo, hi):
-        box_size *= h - l + 1
-    if box_size > cap:
-        raise ResourceLimitError(
-            f"candidate box holds {box_size} lattice points (cap {cap}); "
-            f"n={n}, k={k}, per-coordinate widths "
-            f"{[h - l + 1 for l, h in zip(lo, hi)]}"
-        )
-
     out: list[tuple[int, ...]] = []
-    partial = [0] * d
-
-    def recurse(i: int, remaining: int):
-        if i == d:
-            t = partial + [remaining]
-            if _qform(e, t, n) <= thr:
-                out.append(tuple(t))
-            return
-        top = min(hi[i], remaining)
-        for v in range(lo[i], top + 1):
-            partial[i] = v
-            recurse(i + 1, remaining - v)
-
-    recurse(0, n)
+    for prefix, rest, lo, lo_in, hi_in, hi in _lines(e, n, k, cap):
+        for t in range(lo, hi + 1):
+            typ = prefix + (t, rest - t)
+            if lo_in <= t <= hi_in or _qform(e, typ, n) <= thr:
+                out.append(typ)
     return out
+
+
+def count_types_in_ellipsoid(
+    e: Ellipsoid, n: int, k: int, cap: int = DEFAULT_CANDIDATE_CAP
+) -> int:
+    """``len(enumerate_types_in_ellipsoid(e, n, k, cap))`` without the list:
+    whole inner lines are added up and only their edge points are tested."""
+    thr = e.chi2_threshold
+    total = 0
+    for prefix, rest, lo, lo_in, hi_in, hi in _lines(e, n, k, cap):
+        total += hi_in - lo_in + 1
+        for t in chain(range(lo, lo_in), range(hi_in + 1, hi + 1)):
+            if _qform(e, prefix + (t, rest - t), n) <= thr:
+                total += 1
+    return total
 
 
 @lru_cache(maxsize=64)
@@ -261,7 +342,7 @@ def hash_length(
         radius_bits=delta_d(d, p_e),
         chi2_threshold=chi2_quantile_upper(d, p_e),
     )
-    n_hat = max(1, len(enumerate_types_in_ellipsoid(surrogate, n, k, cap=candidate_cap)))
+    n_hat = max(1, count_types_in_ellipsoid(surrogate, n, k, cap=candidate_cap))
     b = max(1, math.ceil(math.log2(inflation * n_hat / budget)))
     if b > 64:
         raise ValueError(
@@ -423,10 +504,12 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
 
     ellipsoid = build_ellipsoid(y, n, config.p_e, config.k)
     candidates = enumerate_types_in_ellipsoid(ellipsoid, n, config.k, cap=config.candidate_cap)
-    seed = config.hash_seed
+    # universal_hash inlined, with the multipliers fetched once
+    mult = _hash_multipliers(config.hash_seed & MASK64, config.k)
+    mask = (1 << b) - 1
     survivors = []
     for t in candidates:
-        if universal_hash(t, seed, b) != h:
+        if mix64(sum(map(mul, mult, t)) % MERSENNE61) & mask != h:
             continue
         size = multinomial_count(t)
         if (size - 1).bit_length() != rank_field_bits or rank >= size:

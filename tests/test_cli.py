@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ucdis import cli
+from ucdis import cli, codec
 from ucdis.sources import memoryless, sample_sequence
 
 
@@ -171,6 +171,31 @@ class TestDucompmCli:
         assert code == 0
         assert np.array_equal(np.frombuffer(dec.read_bytes(), dtype=np.uint8), x)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_e", float("nan"), "p_e must lie in (0,1)"),
+        ("p_e", 0.0, "p_e must lie in (0,1)"),
+        ("k", 1, "alphabet size must be >= 2"),
+        ("family_kind", "markov1", "supports only memoryless"),
+    ], ids=["pe-nan", "pe-zero", "k-1", "markov1"])
+    def test_crafted_container_is_a_validation_error(self, capsys, tmp_path, field, value,
+                                                     message):
+        fields = dict(strategy="ducompm", family_kind="memoryless", k=2, n=10, m=4,
+                      p_e=0.1, payload=codec.BitStream(b"\x00\x01\x00", 24))
+        fields[field] = value
+        enc, mem = tmp_path / "w.ucds", tmp_path / "y.bin"
+        enc.write_bytes(codec.pack_container(codec.Container(**fields)))
+        mem.write_bytes(b"\x00\x01\x00\x01")
+        for mode in ([], ["--json"]):
+            code, _, err = run_cli(capsys, *mode, "decode", "--in", str(enc),
+                                   "--memory", str(mem), "--out", str(tmp_path / "back.bin"))
+            assert code == 1
+            if mode:
+                assert json.loads(err)["error"]["code"] == 1
+                assert message in json.loads(err)["error"]["message"]
+            else:
+                assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "back.bin").exists()
+
     def test_declared_failure_exits_three(self, capsys, tmp_path):
         fam = memoryless(2)
         src, mem = tmp_path / "x.bin", tmp_path / "y.bin"
@@ -254,3 +279,10 @@ class TestExperimentCli:
         monkeypatch.delenv("UCDIS_THREADS")
         run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out2))
         assert out1.read_text() == out2.read_text()
+
+    def test_threads_env_not_an_integer(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("UCDIS_THREADS", "two")
+        cfg = self._config(tmp_path, strategies=["ucomp"], trials=2)
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                               "--out", str(tmp_path / "o.csv"))
+        assert code == 1 and "UCDIS_THREADS" in err

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucdis import harness
 from ucdis.codec import BitStream
@@ -12,7 +14,9 @@ from ucdis.ducompm import (
     DucompmConfig,
     Ellipsoid,
     ResourceLimitError,
+    _qform,
     build_ellipsoid,
+    count_types_in_ellipsoid,
     decode_ducompm,
     ellipsoid_contains,
     encode_ducompm,
@@ -29,6 +33,7 @@ from ucdis.sources import fisher_info, memoryless, sample_sequence
 
 MEM2 = memoryless(2)
 MEM3 = memoryless(3)
+MEM4 = memoryless(4)
 
 
 def all_types(n, k):
@@ -40,6 +45,41 @@ def all_types(n, k):
         for rest in all_types(n - first, k - 1):
             out.append((first,) + rest)
     return sorted(out)
+
+
+def bounding_box(e, n, k):
+    """Per free coordinate, the integer range of the ellipsoid's axis-aligned
+    bounding box, n * (center +- sqrt(q * A^-1_ii)) with A = r * Fisher,
+    clipped to [0, n]."""
+    a_inv = np.linalg.inv(e.r * e.fisher)
+    half = np.sqrt(np.maximum(e.chi2_threshold * np.diag(a_inv), 0.0))
+    c = e._center_free
+    lo = [max(0, math.ceil(n * (c[i] - half[i]))) for i in range(k - 1)]
+    hi = [min(n, math.floor(n * (c[i] + half[i]))) for i in range(k - 1)]
+    return lo, hi
+
+
+def box_scan_types(e, n, k):
+    """Reference enumerator: every type in the bounding box, in lexicographic
+    order, kept when the exact form _qform is within the threshold."""
+    d = k - 1
+    lo, hi = bounding_box(e, n, k)
+    out = []
+    partial = [0] * d
+
+    def recurse(i, remaining):
+        if i == d:
+            t = partial + [remaining]
+            if _qform(e, t, n) <= e.chi2_threshold:
+                out.append(tuple(t))
+            return
+        for v in range(lo[i], min(hi[i], remaining) + 1):
+            partial[i] = v
+            recurse(i + 1, remaining - v)
+
+    if all(l <= h for l, h in zip(lo, hi)):
+        recurse(0, n)
+    return out
 
 
 class TestTypeOf:
@@ -142,6 +182,68 @@ class TestEnumeration:
         e = build_ellipsoid(y, 300, 0.05, 3)
         with pytest.raises(ResourceLimitError):
             enumerate_types_in_ellipsoid(e, 300, 3, cap=10)
+
+    def test_cap_counts_visited_points_not_the_box(self):
+        # 24,676 candidates; the walk visits about 26k lattice points, the
+        # bounding box holds 87,906
+        y = sample_sequence(MEM4, [0.4, 0.3, 0.2, 0.1], 2000, seed=1)
+        e = build_ellipsoid(y, 200, 0.01, 4)
+        lo, hi = bounding_box(e, 200, 4)
+        assert math.prod(h - l + 1 for l, h in zip(lo, hi)) > 50_000
+        assert enumerate_types_in_ellipsoid(e, 200, 4, cap=50_000) == box_scan_types(e, 200, 4)
+        assert count_types_in_ellipsoid(e, 200, 4, cap=50_000) == 24_676
+        with pytest.raises(ResourceLimitError):
+            count_types_in_ellipsoid(e, 200, 4, cap=24_000)
+
+
+@st.composite
+def ellipsoids(draw):
+    """(ellipsoid, n, k): Dirichlet centers, some with theta_min near 1/m for
+    m up to 10^5 (ill-conditioned Fisher), r and threshold scale log-uniform,
+    and half of the thresholds placed exactly on a type.  n <= 60, but n <= 30
+    at k = 5, where the reference's box can hold the whole simplex (635,376
+    types at n = 60)."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 60 if k < 5 else 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = np.maximum(rng.dirichlet([draw(st.sampled_from([0.3, 1.0, 5.0]))] * k), 1e-12)
+    if draw(st.booleans()):
+        m = 10 ** draw(st.floats(1.0, 5.0))
+        j = draw(st.integers(0, k - 1))
+        center[j] = 0.0
+        center *= (1.0 - 1.0 / m) / center.sum()
+        center[j] = 1.0 / m
+    center /= center.sum()
+    r = 10 ** draw(st.floats(0.0, 4.0))
+    scale = 10 ** draw(st.floats(-1.5, 1.0))
+    e = Ellipsoid(center, r, fisher_info(memoryless(k), center), 0.0,
+                  scale * chi2_quantile_upper(k - 1, 0.1))
+    on_boundary = draw(st.booleans())
+    if on_boundary:
+        # a type exactly on the boundary: only the exact form can decide it
+        e.chi2_threshold = _qform(e, rng.multinomial(n, center).tolist(), n)
+    return e, n, k, on_boundary
+
+
+class TestWalkerAgainstBoxScan:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ellipsoids())
+    def test_same_types_same_order(self, case):
+        e, n, k, on_boundary = case
+        if on_boundary:
+            # the box scan's bounding box, rounded, can cut off a type that
+            # lies on the boundary at the box's extreme; all types filtered by
+            # the exact form is the definition
+            want = [t for t in all_types(n, k) if _qform(e, t, n) <= e.chi2_threshold]
+        else:
+            want = box_scan_types(e, n, k)
+        assert enumerate_types_in_ellipsoid(e, n, k) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ellipsoids())
+    def test_count_is_list_length(self, case):
+        e, n, k, _ = case
+        assert count_types_in_ellipsoid(e, n, k) == len(enumerate_types_in_ellipsoid(e, n, k))
 
 
 class TestUniversalHash:
