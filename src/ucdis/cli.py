@@ -132,6 +132,8 @@ def cmd_figure(args) -> int:
 
 def cmd_encode(args) -> int:
     family = _family(args)
+    if args.k > 256:
+        raise _CliError(EXIT_VALIDATION, f"--k {args.k}: files hold one byte per symbol, so k <= 256")
     x = _symbols_from_file(args.infile, args.k)
     if args.strategy == "ucomp":
         payload = codec.encode_ucomp(family, x)
@@ -182,18 +184,28 @@ def cmd_decode(args) -> int:
         family = SourceFamily(container.family_kind, container.k)
     except ValueError as e:  # FramingError included
         raise _CliError(EXIT_VALIDATION, f"{args.infile}: {e}") from e
-    if container.strategy == "ucomp":
-        x = codec.decode_ucomp(family, container.payload, container.n)
-    elif container.strategy == "ucompm":
-        if args.memory is None:
-            raise _CliError(EXIT_VALIDATION, "--memory is required to decode a ucompm container")
-        y = _symbols_from_file(args.memory, container.k)
-        if y.size != container.m:
-            raise _CliError(
-                EXIT_VALIDATION,
-                f"memory length {y.size} does not match container m={container.m}",
-            )
-        x = codec.decode_ucompm(family, y, container.payload, container.n)
+    if container.k > 256:
+        raise _CliError(
+            EXIT_VALIDATION,
+            f"{args.infile}: alphabet size k={container.k} does not fit one byte per output symbol",
+        )
+    if container.strategy != "ducompm":
+        if container.strategy == "ucompm":
+            if args.memory is None:
+                raise _CliError(EXIT_VALIDATION, "--memory is required to decode a ucompm container")
+            y = _symbols_from_file(args.memory, container.k)
+            if y.size != container.m:
+                raise _CliError(
+                    EXIT_VALIDATION,
+                    f"memory length {y.size} does not match container m={container.m}",
+                )
+        try:
+            if container.strategy == "ucomp":
+                x = codec.decode_ucomp(family, container.payload, container.n)
+            else:
+                x = codec.decode_ucompm(family, y, container.payload, container.n)
+        except codec.FramingError as e:
+            raise _CliError(EXIT_VALIDATION, f"{args.infile}: {e}") from e
     else:
         if family.kind != MEMORYLESS:
             raise _CliError(
@@ -277,7 +289,10 @@ def _emit_results(result, out_path: str, cfg: harness.ExperimentConfig):
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config, args.trials)
-    rows = harness.run_experiment(cfg, workers=_workers(args))
+    try:
+        rows = harness.run_experiment(cfg, workers=_workers(args))
+    except ducompm.ResourceLimitError as e:
+        raise _CliError(EXIT_VALIDATION, str(e)) from e
     _emit_results(rows, args.out, cfg)
     return EXIT_OK
 

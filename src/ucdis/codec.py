@@ -1,11 +1,12 @@
 """Strictly lossless coding core: integer arithmetic coder driven by KT counts.
 
 The coder is a classic carry-free integer-interval coder (64-bit registers,
-MSB-first bit output, deferred-underflow renormalization).  Probability models
-feed it exact integer frequency intervals; the Krichevsky-Trofimov model uses
-freq(a) = 2*count(a) + 1 over total = 2*N + k so the implied probabilities
-(count + 1/2)/(N + k/2) are exact rationals, keeping encoder and decoder
-states identical bit for bit.
+MSB-first bit output, deferred-underflow renormalization) that moves the
+settled bits of each narrowing through word-based bit I/O in one call.
+Probability models feed it exact integer frequency intervals; the
+Krichevsky-Trofimov model uses freq(a) = 2*count(a) + 1 over total = 2*N + k
+so the implied probabilities (count + 1/2)/(N + k/2) are exact rationals,
+keeping encoder and decoder states identical bit for bit.
 
 Universal coding without memory (ucomp) starts from empty counts; coding with
 a shared memory sequence (ucompm) first primes the counts by consuming the
@@ -54,7 +55,8 @@ class BitStream:
 
 
 class BitWriter:
-    """Accumulates bits MSB-first into bytes."""
+    """Accumulates bits MSB-first in an integer word and flushes whole bytes
+    once 64 or more bits are held."""
 
     __slots__ = ("buf", "acc", "nacc")
 
@@ -64,47 +66,62 @@ class BitWriter:
         self.nacc = 0
 
     def write_bit(self, b: int):
-        self.acc = (self.acc << 1) | b
-        self.nacc += 1
-        if self.nacc == 8:
-            self.buf.append(self.acc)
-            self.acc = 0
-            self.nacc = 0
+        self.write_uint(b, 1)
 
     def write_uint(self, value: int, nbits: int):
-        for shift in range(nbits - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        """Append the low ``nbits`` bits of ``value``, most significant first."""
+        acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
+        nacc = self.nacc + nbits
+        if nacc >= 64:
+            keep = nacc & 7
+            self.buf += (acc >> keep).to_bytes(nacc >> 3, "big")
+            acc &= (1 << keep) - 1
+            nacc = keep
+        self.acc = acc
+        self.nacc = nacc
 
     def getvalue(self) -> BitStream:
-        nbits = 8 * len(self.buf) + self.nacc
-        if self.nacc:
-            return BitStream(bytes(self.buf) + bytes([self.acc << (8 - self.nacc)]), nbits)
-        return BitStream(bytes(self.buf), nbits)
+        nacc = self.nacc
+        pad = -nacc & 7
+        tail = (self.acc << pad).to_bytes((nacc + pad) >> 3, "big")
+        return BitStream(bytes(self.buf) + tail, 8 * len(self.buf) + nacc)
 
 
 class BitReader:
-    """Reads bits MSB-first; past-the-end reads return zero padding."""
+    """Reads bits MSB-first through a word window refilled 64 bits at a time.
 
-    __slots__ = ("stream", "pos")
+    Positions at or past ``bit_length`` read as zero, also when the stream's
+    pad bits or extra bytes are not.
+    """
 
-    def __init__(self, stream: BitStream, pos: int = 0):
-        self.stream = stream
-        self.pos = pos
+    __slots__ = ("data", "next", "window", "nwin")
+
+    def __init__(self, stream: BitStream):
+        nbits = stream.bit_length
+        data = stream.data[: (nbits + 7) >> 3]
+        if nbits & 7:
+            data = data[:-1] + bytes([data[-1] & (0xFF00 >> (nbits & 7)) & 0xFF])
+        self.data = data
+        self.next = 0  # first byte not yet in the window
+        self.window = 0  # its low nwin bits are the next bits to read
+        self.nwin = 0
 
     def read_bit(self) -> int:
-        b = self.stream.bit(self.pos)
-        self.pos += 1
-        return b
+        return self.read_uint(1)
 
     def read_uint(self, nbits: int) -> int:
-        v = 0
-        for _ in range(nbits):
-            v = (v << 1) | self.read_bit()
-        return v
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.stream.bit_length - self.pos)
+        nwin = self.nwin
+        if nbits > nwin:
+            nbytes = ((nbits - nwin + 63) >> 6) << 3
+            i = self.next
+            chunk = self.data[i : i + nbytes]
+            word = int.from_bytes(chunk, "big") << ((nbytes - len(chunk)) << 3)
+            self.window = ((self.window & ((1 << nwin) - 1)) << (nbytes << 3)) | word
+            self.next = i + nbytes
+            nwin += nbytes << 3
+        nwin -= nbits
+        self.nwin = nwin
+        return (self.window >> nwin) & ((1 << nbits) - 1)
 
 
 class KTState:
@@ -273,7 +290,7 @@ def ac_encode(model, symbols) -> BitStream:
     high = _MASK
     pending = 0
     w = BitWriter()
-    write_bit = w.write_bit
+    write_uint = w.write_uint
     total = model.total
     interval = model.interval
     advance = model.advance
@@ -285,16 +302,16 @@ def ac_encode(model, symbols) -> BitStream:
         span = high - low + 1
         high = low + span * hi // t - 1
         low = low + span * lo // t
-        while (low ^ high) & _TOP == 0:
-            bit = low >> (_STATE_BITS - 1)
-            write_bit(bit)
-            if pending:
-                inv = bit ^ 1
-                for _ in range(pending):
-                    write_bit(inv)
-                pending = 0
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
+        # low and high agree on their nb leading bits: those are settled.
+        nb = _STATE_BITS - (low ^ high).bit_length()
+        if nb:
+            # The pending underflow bits are the inverse of the first settled
+            # bit and follow it; adding (2^pending - 1) << (nb - 1) splices
+            # them in for either value of that bit.
+            write_uint((low >> (_STATE_BITS - nb)) + (((1 << pending) - 1) << (nb - 1)), nb + pending)
+            pending = 0
+            low = (low << nb) & _MASK
+            high = ((high << nb) & _MASK) | ((1 << nb) - 1)
         while low & ~high & _SECOND:
             pending += 1
             low = (low << 1) & _HALF_MASK
@@ -304,22 +321,28 @@ def ac_encode(model, symbols) -> BitStream:
     # bits pin a dyadic interval inside [low, high] regardless of how the
     # stream is padded afterwards.  The final window is wider than a quarter,
     # so the emitted total stays within ideal codelength + 2 on every input.
+    # The first of the two bits is 0 if low < _SECOND else 1; the second and
+    # the pending bits are its inverse, spliced in as above.
     pending += 1
-    bit = 0 if low < _SECOND else 1
-    write_bit(bit)
-    inv = bit ^ 1
-    for _ in range(pending):
-        write_bit(inv)
+    write_uint((low >> (_STATE_BITS - 2)) + (1 << pending) - 1, pending + 1)
     return w.getvalue()
 
 
-def ac_decode(model, bits: BitStream, n: int, start: int = 0):
-    """Decode ``n`` symbols; the model must mirror the encoder's updates."""
-    r = BitReader(bits, start)
-    read_bit = r.read_bit
-    code = 0
-    for _ in range(_STATE_BITS):
-        code = (code << 1) | read_bit()
+def ac_decode(model, bits: BitStream, n: int):
+    """Decode ``n`` symbols; the model must mirror the encoder's updates.
+
+    A stream the encoder wrote is consumed to exactly ``bit_length + 62``
+    bits: the 64-bit preload and the renormalization reads match the encoder's
+    output less its two termination bits.  Reading past that, or stopping
+    short of it, means the stream or ``n`` is forged: FramingError.
+    """
+    r = BitReader(bits)
+    read_uint = r.read_uint
+    limit = bits.bit_length + _STATE_BITS - 2
+    used = _STATE_BITS
+    if used > limit:
+        raise FramingError(f"payload of {bits.bit_length} bits is shorter than any coded stream")
+    code = read_uint(_STATE_BITS)
     low = 0
     high = _MASK
     out = []
@@ -334,16 +357,30 @@ def ac_decode(model, bits: BitStream, n: int, start: int = 0):
         s, lo, hi = locate(target)
         high = low + span * hi // t - 1
         low = low + span * lo // t
-        while (low ^ high) & _TOP == 0:
-            code = ((code << 1) & _MASK) | read_bit()
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
+        nb = _STATE_BITS - (low ^ high).bit_length()
+        if nb:
+            used += nb
+            code = ((code << nb) & _MASK) | read_uint(nb)
+            low = (low << nb) & _MASK
+            high = ((high << nb) & _MASK) | ((1 << nb) - 1)
+        nu = 0
         while low & ~high & _SECOND:
-            code = (code & _TOP) | ((code << 1) & _HALF_MASK) | read_bit()
+            nu += 1
             low = (low << 1) & _HALF_MASK
             high = ((high << 1) & _HALF_MASK) | _TOP | 1
+        if nu:
+            used += nu
+            code = (code & _TOP) | ((code << nu) & _HALF_MASK) | read_uint(nu)
+        if used > limit:
+            raise FramingError(
+                f"payload of {bits.bit_length} bits overrun after {len(out) + 1} of {n} symbols"
+            )
         advance(s)
         append(s)
+    if used != limit:
+        raise FramingError(
+            f"{n} symbols used {used - _STATE_BITS + 2} of {bits.bit_length} payload bits"
+        )
     return out
 
 

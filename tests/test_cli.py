@@ -132,6 +132,34 @@ class TestEncodeDecode:
                                "--out", str(tmp_path / "o"), "--k", "4")
         assert code == 1 and "--k" in err
 
+    def test_forged_length_is_a_validation_error(self, capsys, tmp_path):
+        # one zero payload byte claimed to carry 200000 symbols
+        enc, back = tmp_path / "w.ucds", tmp_path / "back.bin"
+        enc.write_bytes(codec.pack_container(codec.Container(
+            "ucomp", "memoryless", 256, 200_000, 0, 0.0, codec.BitStream(b"\x00", 8))))
+        for mode in ([], ["--json"]):
+            code, _, err = run_cli(capsys, *mode, "decode", "--in", str(enc), "--out", str(back))
+            assert code == 1
+            message = json.loads(err)["error"]["message"] if mode else err
+            assert "overrun after 1 of 200000 symbols" in message
+        assert not back.exists()
+
+    def test_alphabet_beyond_a_byte_rejected(self, capsys, tmp_path):
+        # symbols >= 256 would wrap in the one-byte-per-symbol output file
+        fam = memoryless(300)
+        payload = codec.encode_ucomp(fam, np.array([299, 5, 299, 257]))
+        enc, back = tmp_path / "w.ucds", tmp_path / "back.bin"
+        enc.write_bytes(codec.pack_container(codec.Container(
+            "ucomp", "memoryless", 300, 4, 0, 0.0, payload)))
+        code, _, err = run_cli(capsys, "decode", "--in", str(enc), "--out", str(back))
+        assert code == 1 and "k=300" in err
+        assert not back.exists()
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes([5, 1]))
+        code, _, err = run_cli(capsys, "encode", "--strategy", "ucomp", "--in", str(src),
+                               "--out", str(enc), "--k", "300")
+        assert code == 1 and "--k" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "encode", "--strategy", "ucomp",
                              "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "o"))
@@ -256,6 +284,16 @@ class TestExperimentCli:
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
                                "--out", str(tmp_path / "o.csv"))
         assert code == 1 and "bogus_field" in err
+
+    def test_candidate_cap_exceeded(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, k=3, n=30, m=300, candidate_cap=1, trials=2)
+        for mode in ([], ["--json"]):
+            code, _, err = run_cli(capsys, *mode, "experiment", "--config", str(cfg),
+                                   "--out", str(tmp_path / "o.csv"))
+            assert code == 1
+            message = json.loads(err)["error"]["message"] if mode else err
+            assert "candidate_cap=1" in message
+        assert not (tmp_path / "o.csv").exists()
 
     def test_coverage_csv(self, capsys, tmp_path):
         cfg = self._config(tmp_path, strategies=["ducompm"], trials=40)

@@ -100,6 +100,23 @@ class TestArithmeticCoder:
         with pytest.raises(ValueError):
             ac_encode(FixedModel([1, 0]), [1])
 
+    def test_forged_length_overruns(self):
+        # One zero byte claimed to carry 200000 symbols: the decoder reads past
+        # bit_length + 62 bits after 1 symbol at k=256 and after 5215 at k=2.
+        for k, after in ((256, 1), (2, 5215)):
+            with pytest.raises(FramingError, match=f"overrun after {after} of 200000 symbols"):
+                codec.decode_ucomp(memoryless(k), BitStream(b"\x00", 8), 200_000)
+
+    def test_stream_must_be_consumed_exactly(self):
+        x = sample_sequence(MEM4, [0.1, 0.2, 0.3, 0.4], 500, seed=3)
+        bits = codec.encode_ucomp(MEM4, x)
+        with pytest.raises(FramingError):  # 8 extra trailing bits
+            codec.decode_ucomp(MEM4, BitStream(bits.data + b"\x00", bits.bit_length + 8), 500)
+        with pytest.raises(FramingError):  # a header n one short
+            codec.decode_ucomp(MEM4, bits, 499)
+        with pytest.raises(FramingError):  # no coded stream is shorter than 2 bits
+            ac_decode(KTCoderModel(MEM2), BitStream(b"", 0), 0)
+
 
 class TestUcomp:
     def test_length_bound_every_instance(self):

@@ -1,0 +1,166 @@
+"""The word-at-a-time coder and bit I/O against bit-at-a-time references.
+
+``reference_encode``/``reference_decode`` are the coder as it was before
+renormalization was batched: one settled or pending bit per step, written to
+a plain list and read back through ``BitStream.bit``.  They share no code with
+``BitWriter``/``BitReader``, so the properties below pin the word-based
+coder's output bit for bit on random KT, primed-KT, markov1 and fixed-frequency
+models, and the word I/O against single-bit I/O at arbitrary widths and
+positions.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ucdis import codec
+from ucdis.codec import BitStream, BitReader, BitWriter, FixedModel, KTCoderModel
+from ucdis.sources import SourceFamily
+
+_MASK = (1 << 64) - 1
+_TOP = 1 << 63
+_SECOND = _TOP >> 1
+_HALF_MASK = _MASK >> 1
+
+
+def pack_bits(bits) -> BitStream:
+    padded = list(bits) + [0] * (-len(bits) % 8)
+    data = bytes(
+        int("".join(map(str, padded[i : i + 8])), 2) for i in range(0, len(padded), 8)
+    )
+    return BitStream(data, len(bits))
+
+
+def reference_encode(model, symbols) -> BitStream:
+    low, high, pending = 0, _MASK, 0
+    out = []
+    for s in symbols:
+        t = model.total()
+        lo, hi = model.interval(s)
+        span = high - low + 1
+        high = low + span * hi // t - 1
+        low = low + span * lo // t
+        while (low ^ high) & _TOP == 0:
+            bit = low >> 63
+            out.append(bit)
+            out.extend([bit ^ 1] * pending)
+            pending = 0
+            low = (low << 1) & _MASK
+            high = ((high << 1) & _MASK) | 1
+        while low & ~high & _SECOND:
+            pending += 1
+            low = (low << 1) & _HALF_MASK
+            high = ((high << 1) & _HALF_MASK) | _TOP | 1
+        model.advance(s)
+    pending += 1
+    bit = 0 if low < _SECOND else 1
+    out.append(bit)
+    out.extend([bit ^ 1] * pending)
+    return pack_bits(out)
+
+
+def reference_decode(model, stream: BitStream, n: int):
+    pos = 64
+    code = 0
+    for i in range(64):
+        code = (code << 1) | stream.bit(i)
+    low, high = 0, _MASK
+    out = []
+    for _ in range(n):
+        t = model.total()
+        span = high - low + 1
+        s, lo, hi = model.locate(((code - low + 1) * t - 1) // span)
+        high = low + span * hi // t - 1
+        low = low + span * lo // t
+        while (low ^ high) & _TOP == 0:
+            code = ((code << 1) & _MASK) | stream.bit(pos)
+            pos += 1
+            low = (low << 1) & _MASK
+            high = ((high << 1) & _MASK) | 1
+        while low & ~high & _SECOND:
+            code = (code & _TOP) | ((code << 1) & _HALF_MASK) | stream.bit(pos)
+            pos += 1
+            low = (low << 1) & _HALF_MASK
+            high = ((high << 1) & _HALF_MASK) | _TOP | 1
+        model.advance(s)
+        out.append(s)
+    return out
+
+
+@st.composite
+def coded_inputs(draw):
+    """(model factory, symbols): KT from empty or primed counts, memoryless or
+    markov1, or a fixed model whose frequencies may be tiny, huge or zero."""
+    kind = draw(st.sampled_from(["kt", "kt-primed", "markov1", "fixed"]))
+    if kind == "fixed":
+        freqs = draw(st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 1 << 40)), min_size=1, max_size=12,
+        ).filter(any))
+        alphabet = [a for a, f in enumerate(freqs) if f]
+        x = draw(st.lists(st.sampled_from(alphabet), max_size=400))
+        return (lambda: FixedModel(freqs)), x
+    k = draw(st.sampled_from([2, 3, 5, 16, 256]) | st.integers(2, 300))
+    fam = SourceFamily("markov1" if kind == "markov1" else "memoryless", k)
+    # Skewed draws: a few symbols, most of the time the first of them.
+    favourites = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))
+    sym = st.one_of(st.sampled_from(favourites), st.integers(0, k - 1))
+    x = draw(st.lists(sym, max_size=400))
+    if kind != "kt-primed":
+        return (lambda: KTCoderModel(fam)), x
+    y = np.array(draw(st.lists(sym, max_size=2000)), dtype=np.int64)
+    return (lambda: KTCoderModel(fam, codec._primed_state(fam, y))), x
+
+
+class TestCoderAgainstReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coded_inputs())
+    def test_same_stream_and_round_trip(self, case):
+        model, x = case
+        bits = codec.ac_encode(model(), x)
+        assert bits == reference_encode(model(), x)
+        assert codec.ac_decode(model(), bits, len(x)) == x
+        assert reference_decode(model(), bits, len(x)) == x
+
+    def test_long_pending_runs(self):
+        # The middle symbol owns exactly the middle half: every symbol adds one
+        # underflow bit and all of them stay pending until termination.
+        for n in (0, 1, 63, 64, 65, 500):
+            bits = codec.ac_encode(FixedModel([1, 2, 1]), [1] * n)
+            assert bits == reference_encode(FixedModel([1, 2, 1]), [1] * n)
+            assert bits.bit_length == n + 2
+            assert codec.ac_decode(FixedModel([1, 2, 1]), bits, n) == [1] * n
+
+
+class TestWordBitIO:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 200).flatmap(
+        lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))), max_size=40))
+    def test_write_uint_equals_bitwise_writes(self, fields):
+        words, bitwise, bits = BitWriter(), BitWriter(), []
+        for value, width in fields:
+            words.write_uint(value, width)
+            for shift in range(width - 1, -1, -1):
+                bitwise.write_bit((value >> shift) & 1)
+                bits.append((value >> shift) & 1)
+        assert words.getvalue() == bitwise.getvalue() == pack_bits(bits)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.binary(max_size=40).flatmap(lambda data: st.tuples(
+        st.just(data),
+        st.integers(0, 8 * len(data)),
+        st.lists(st.integers(0, 200), max_size=12),
+    )))
+    def test_read_uint_agrees_with_bit(self, case):
+        # Random data leaves nonzero pad bits and whole extra bytes past
+        # bit_length; the widths run past the end of the stream.
+        data, nbits, widths = case
+        stream = BitStream(data, nbits)
+        r = BitReader(stream)
+        pos = 0
+        for width in widths:
+            want = 0
+            for i in range(pos, pos + width):
+                want = (want << 1) | stream.bit(i)
+            assert r.read_uint(width) == want
+            pos += width
+        assert r.read_bit() == stream.bit(pos)
