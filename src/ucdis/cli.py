@@ -173,7 +173,11 @@ def cmd_encode(args) -> int:
         p_e=p_e,
         payload=payload,
     )
-    _write_bytes(args.out, codec.pack_container(container))
+    try:
+        blob = codec.pack_container(container)
+    except ValueError as e:
+        raise _CliError(EXIT_VALIDATION, str(e)) from e
+    _write_bytes(args.out, blob)
     return EXIT_OK
 
 

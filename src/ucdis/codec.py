@@ -483,6 +483,13 @@ class Container:
 
 
 def pack_container(c: Container) -> bytes:
+    """Header plus payload; ValueError names a field too wide for the header."""
+    # the widths of _HEADER's k, n, m and bit-length fields
+    for name, value, bits in (("k", c.k, 16), ("n", c.n, 32), ("m", c.m, 32),
+                              ("bit_length", c.payload.bit_length, 32)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"container field {name}={value} does not fit its "
+                             f"{bits}-bit unsigned header field")
     header = _HEADER.pack(
         MAGIC,
         VERSION,

@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import delta_d
 from .codec import BitReader, BitStream, BitWriter, FramingError
 from .numerics import chi2_quantile_upper
-from .rng import GOLDEN, MASK64, mix64
+from .rng import GOLDEN, MASK64, mix64, mix64_array
 from .sources import SourceFamily, _validate_sequence, fisher_info, smoothed_estimate
 
 MERSENNE61 = (1 << 61) - 1
@@ -288,6 +288,68 @@ def count_types_in_ellipsoid(
     return total
 
 
+# Points per numpy block in decode's hash filter: decode memory is O(_BLOCK),
+# whatever the candidate count.
+_BLOCK = 2**16
+
+
+def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
+    """The region's types whose b-bit hash is h, in ascending lexicographic order.
+
+    Equal to keeping the types of ``enumerate_types_in_ellipsoid(e, n, k, cap)``
+    with ``universal_hash(t, seed, b) == h``, where ``mult`` holds the seed's
+    multipliers, but no candidate list is built.  The hash sum is linear mod
+    2^61 - 1, so on the walker's line ``prefix + (t, rest - t)`` it is ``base +
+    t * (mult[k-2] - mult[k-1])``.  The lines are cut into segments packed into
+    blocks of ``_BLOCK`` points (a long line spans blocks), each block's sums
+    and mixes run as uint64 arrays, and only the hash hits are tested for
+    membership, with the same rule as the enumeration.
+    """
+    p = MERSENNE61
+    step = (mult[k - 2] - mult[k - 1]) % p
+    p64, mask, want = np.uint64(p), np.uint64((1 << b) - 1), np.uint64(h)
+    steps = np.zeros(1, dtype=np.uint64)  # steps[j] = j * step mod p
+    thr = e.chi2_threshold
+    hits: list[tuple[int, ...]] = []
+    segs: list = []  # (t0, length, hash sum at t0, line) per segment of the block
+
+    def flush():
+        nonlocal steps
+        lens = np.array([s[1] for s in segs])
+        while steps.size < lens.max():
+            more = steps + np.uint64(step * steps.size % p)
+            steps = np.concatenate((steps, np.where(more >= p64, more - p64, more)))
+        starts = np.cumsum(lens) - lens
+        j = np.arange(int(lens.sum())) - np.repeat(starts, lens)
+        acc = np.repeat(np.array([s[2] for s in segs], dtype=np.uint64), lens) + steps[j]
+        acc = np.where(acc >= p64, acc - p64, acc)
+        idx = np.flatnonzero((mix64_array(acc) & mask) == want)
+        seg = np.searchsorted(starts, idx, side="right") - 1
+        for i, s in zip(idx.tolist(), seg.tolist()):
+            t0, _, _, (prefix, rest, _, lo_in, hi_in, _) = segs[s]
+            t = t0 + i - int(starts[s])
+            typ = prefix + (t, rest - t)
+            if lo_in <= t <= hi_in or _qform(e, typ, n) <= thr:
+                hits.append(typ)
+        segs.clear()
+
+    room = _BLOCK
+    for line in _lines(e, n, k, cap):
+        prefix, rest, t0, _, _, hi = line
+        base = (sum(map(mul, mult, prefix)) + mult[k - 1] * rest) % p
+        while t0 <= hi:
+            length = min(hi - t0 + 1, room)
+            segs.append((t0, length, (base + step * t0) % p, line))
+            t0 += length
+            room -= length
+            if not room:
+                flush()
+                room = _BLOCK
+    if segs:
+        flush()
+    return hits
+
+
 @lru_cache(maxsize=64)
 def _hash_multipliers(seed: int, k: int) -> tuple[int, ...]:
     return tuple(mix64((seed + (i + 1) * GOLDEN) & MASK64) % MERSENNE61 for i in range(k))
@@ -503,14 +565,9 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
     rank = r.read_uint(rank_field_bits)
 
     ellipsoid = build_ellipsoid(y, n, config.p_e, config.k)
-    candidates = enumerate_types_in_ellipsoid(ellipsoid, n, config.k, cap=config.candidate_cap)
-    # universal_hash inlined, with the multipliers fetched once
     mult = _hash_multipliers(config.hash_seed & MASK64, config.k)
-    mask = (1 << b) - 1
     survivors = []
-    for t in candidates:
-        if mix64(sum(map(mul, mult, t)) % MERSENNE61) & mask != h:
-            continue
+    for t in _hash_hits(ellipsoid, n, config.k, config.candidate_cap, mult, b, h):
         size = multinomial_count(t)
         if (size - 1).bit_length() != rank_field_bits or rank >= size:
             continue

@@ -13,6 +13,9 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+# SplitMix64 finalizer multipliers
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 #: Identifier recorded in experiment metadata.  Streams are bit-identical for a
 #: given seed within this package; across reimplementations only statistical
@@ -23,9 +26,18 @@ RNG_ALGORITHM = "philox4x64+splitmix64-derive"
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a bijective 64-bit mixing function."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` elementwise over a ``uint64`` array (products wrap mod 2^64)."""
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def split_seed(seed: int, index: int) -> int:

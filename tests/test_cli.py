@@ -224,6 +224,22 @@ class TestDucompmCli:
                 assert err.startswith("error: ") and message in err
         assert not (tmp_path / "back.bin").exists()
 
+    def test_memory_length_beyond_the_header(self, capsys, tmp_path):
+        src = tmp_path / "x.bin"
+        self._write_seq(src, memoryless(3), [0.5, 0.3, 0.2], 60, seed=5)
+        enc = tmp_path / "w.ucds"
+        for mode in ([], ["--json"]):
+            code, _, err = run_cli(
+                capsys, *mode, "encode", "--strategy", "ducompm", "--in", str(src),
+                "--out", str(enc), "--k", "3", "--pe", "0.05", "--memory-len", "5000000000",
+            )
+            assert code == 1
+            if mode:
+                assert "field m=5000000000" in json.loads(err)["error"]["message"]
+            else:
+                assert err.startswith("error: ") and "field m=5000000000" in err
+        assert not enc.exists()
+
     def test_declared_failure_exits_three(self, capsys, tmp_path):
         fam = memoryless(2)
         src, mem = tmp_path / "x.bin", tmp_path / "y.bin"

@@ -1,6 +1,7 @@
 """Coder tests: strict losslessness, length bounds, determinism, container format."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ class TestContainer:
         blob = pack_container(Container("ucomp", "memoryless", 2, 0, 0, 0.0, payload))
         with pytest.raises(FramingError):
             unpack_container(b"XXXX" + blob[4:])
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2**16), ("n", 2**32), ("m", 2**32), ("n", -1),
+    ])
+    def test_field_wider_than_the_header(self, field, value):
+        fields = dict(strategy="ucomp", family_kind="memoryless", k=2, n=4, m=0, p_e=0.0,
+                      payload=BitStream(b"", 0))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"field {field}={value} "):
+            pack_container(Container(**fields))
+
+    def test_payload_wider_than_the_header(self):
+        # a stand-in payload claims 2^32 bits without a 512 MiB buffer
+        payload = SimpleNamespace(data=b"", bit_length=2**32)
+        with pytest.raises(ValueError, match="field bit_length="):
+            pack_container(Container("ucomp", "memoryless", 2, 4, 0, 0.0, payload))
 
     def test_truncated_header(self):
         with pytest.raises(FramingError):

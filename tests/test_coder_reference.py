@@ -112,7 +112,7 @@ def coded_inputs(draw):
 
 
 class TestCoderAgainstReference:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(coded_inputs())
     def test_same_stream_and_round_trip(self, case):
         model, x = case
@@ -132,7 +132,7 @@ class TestCoderAgainstReference:
 
 
 class TestWordBitIO:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(0, 200).flatmap(
         lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))), max_size=40))
     def test_write_uint_equals_bitwise_writes(self, fields):
@@ -144,7 +144,7 @@ class TestWordBitIO:
                 bits.append((value >> shift) & 1)
         assert words.getvalue() == bitwise.getvalue() == pack_bits(bits)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.binary(max_size=40).flatmap(lambda data: st.tuples(
         st.just(data),
         st.integers(0, 8 * len(data)),

@@ -1,16 +1,21 @@
 """Distributed codec tests: geometry, enumeration, hashing, ranking, end-to-end."""
 
 import math
+import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucdis import harness
-from ucdis.codec import BitStream
+from ucdis import ducompm, harness
+from ucdis.codec import BitReader, BitStream
 from ucdis.ducompm import (
+    MERSENNE61,
+    DCodeword,
+    DecodeOutcome,
     DucompmConfig,
     Ellipsoid,
     ResourceLimitError,
@@ -29,6 +34,7 @@ from ucdis.ducompm import (
     universal_hash,
 )
 from ucdis.numerics import chi2_quantile_upper
+from ucdis.rng import MASK64, mix64, mix64_array
 from ucdis.sources import fisher_info, memoryless, sample_sequence
 
 MEM2 = memoryless(2)
@@ -226,7 +232,7 @@ def ellipsoids(draw):
 
 
 class TestWalkerAgainstBoxScan:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(ellipsoids())
     def test_same_types_same_order(self, case):
         e, n, k, on_boundary = case
@@ -239,7 +245,7 @@ class TestWalkerAgainstBoxScan:
             want = box_scan_types(e, n, k)
         assert enumerate_types_in_ellipsoid(e, n, k) == want
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(ellipsoids())
     def test_count_is_list_length(self, case):
         e, n, k, _ = case
@@ -282,6 +288,95 @@ class TestUniversalHash:
         base = universal_hash(t, 0, b)
         changed = sum(universal_hash(t, s, b) != base for s in range(1, 20_001))
         assert 0.99 <= changed / 20_000 <= 1.0
+
+
+def listing_decode(payload, e, n, cfg):
+    """Reference decoder: list every type in the region, hash each with the
+    scalar universal_hash, then apply the width and range filters."""
+    r = BitReader(payload)
+    b = r.read_uint(16)
+    h = r.read_uint(b)
+    rank_field_bits = payload.bit_length - 16 - b
+    rank = r.read_uint(rank_field_bits)
+    survivors = []
+    for t in enumerate_types_in_ellipsoid(e, n, cfg.k, cfg.candidate_cap):
+        size = multinomial_count(t)
+        if (universal_hash(t, cfg.hash_seed, b) == h
+                and (size - 1).bit_length() == rank_field_bits and rank < size):
+            survivors.append(t)
+    if len(survivors) != 1:
+        return DecodeOutcome(failure_reason="ambiguous" if survivors else "no-candidate")
+    return DecodeOutcome(sequence=type_unrank(survivors[0], rank))
+
+
+@st.composite
+def decode_cases(draw):
+    """(ellipsoid, n, k, hash seed, b, h, payload).  Half of the regions have
+    a type just outside their boundary, which only the exact form rejects.
+    Hash widths of 1..4 bits let several types hit; half of the payloads take
+    the rank-field width, and half of those also the hash, of a type in the
+    region or of that outside type."""
+    e, n, k, _ = draw(ellipsoids())
+    near = []
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        near = [tuple(rng.multinomial(n, e.center).tolist())]
+        e.chi2_threshold = math.nextafter(_qform(e, near[0], n), -math.inf)
+    seed = draw(st.integers(0, MASK64))
+    b = draw(st.integers(1, 4))
+    h = draw(st.integers(0, (1 << b) - 1))
+    types = enumerate_types_in_ellipsoid(e, n, k) + near
+    if types and draw(st.booleans()):
+        t = draw(st.sampled_from(types))
+        width = (multinomial_count(t) - 1).bit_length()
+        if draw(st.booleans()):
+            h = universal_hash(t, seed, b)
+    else:
+        width = draw(st.integers(0, 12))
+    rank = draw(st.integers(0, (1 << width) - 1))
+    return e, n, k, seed, b, h, DCodeword(n, b, h, rank, width).payload()
+
+
+class TestDecodeAgainstListing:
+    @settings(max_examples=300)
+    @given(decode_cases(), st.sampled_from([1, 3, 7, ducompm._BLOCK]))
+    def test_same_hits_same_outcome(self, case, block):
+        # small blocks split the walker's lines across blocks
+        e, n, k, seed, b, h, payload = case
+        cfg = DucompmConfig(k=k, m=1, p_e=0.1, hash_seed=seed)
+        mult = ducompm._hash_multipliers(seed, k)
+        with mock.patch.object(ducompm, "_BLOCK", block):
+            hits = ducompm._hash_hits(e, n, k, cfg.candidate_cap, mult, b, h)
+            with mock.patch.object(ducompm, "build_ellipsoid", lambda *args: e):
+                got = decode_ducompm(payload, [0], n, cfg)
+        assert hits == [t for t in enumerate_types_in_ellipsoid(e, n, k)
+                        if universal_hash(t, seed, b) == h]
+        want = listing_decode(payload, e, n, cfg)
+        assert got.failure_reason == want.failure_reason
+        if want.ok:
+            assert np.array_equal(got.sequence, want.sequence)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, MASK64), max_size=40))
+    def test_mix64_array_is_mix64(self, values):
+        values += [0, MERSENNE61 - 1, MASK64]
+        assert mix64_array(np.array(values, dtype=np.uint64)).tolist() == [mix64(v) for v in values]
+
+    def test_memory_does_not_grow_with_the_line(self):
+        # k=2: one line of about 620k points, none passing a 64-bit hash
+        n, y = 10**6, [0, 1] * 5
+        cfg = DucompmConfig(k=2, m=10, p_e=0.05)
+        assert count_types_in_ellipsoid(build_ellipsoid(y, n, cfg.p_e, 2), n, 2) > 600_000
+        payload = DCodeword(n, b=64, hash_value=0x0123456789ABCDEF, rank=0,
+                            rank_bit_length=0).payload()
+        tracemalloc.start()
+        try:
+            outcome = decode_ducompm(payload, y, n, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.failure_reason == "no-candidate"
+        assert peak < 8 * 2**20
 
 
 class TestHashLength:
@@ -332,6 +427,18 @@ class TestRanking:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             type_unrank([2, 2], 6)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_rank_unrank_bijection(self, data):
+        k = data.draw(st.integers(2, 8))
+        x = data.draw(st.lists(st.integers(0, k - 1), max_size=300))
+        t = type_of(x, k)
+        size = multinomial_count(t)
+        assert 0 <= type_rank(x, k) < size
+        assert type_unrank(t, type_rank(x, k)).tolist() == x
+        r = data.draw(st.integers(0, size - 1))
+        assert type_rank(type_unrank(t, r), k) == r
 
     def test_unrank_is_lex_ordered(self):
         t = [3, 2]
