@@ -8,6 +8,7 @@ machine-readable JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -84,21 +85,18 @@ def _workers(args) -> int:
 def cmd_bounds(args) -> int:
     family = _family(args)
     mode = args.mode
-    try:
-        if args.strategy == "ucomp":
-            breakdown = bounds.redundancy_ucomp(family, args.n)
-        elif args.strategy == "ucompm":
-            if args.m is None:
-                raise _CliError(EXIT_VALIDATION, "--m is required for strategy ucompm")
-            breakdown = bounds.redundancy_ucompm(family.d, args.n, args.m)
-        else:
-            if args.m is None:
-                raise _CliError(EXIT_VALIDATION, "--m is required for strategy ducompm")
-            if args.pe is None:
-                raise _CliError(EXIT_VALIDATION, "--pe is required for strategy ducompm")
-            breakdown = bounds.redundancy_ducompm(family, args.n, args.m, args.pe, mode)
-    except ValueError as e:
-        raise _CliError(EXIT_VALIDATION, str(e)) from e
+    if args.strategy == "ucomp":
+        breakdown = bounds.redundancy_ucomp(family, args.n)
+    elif args.strategy == "ucompm":
+        if args.m is None:
+            raise _CliError(EXIT_VALIDATION, "--m is required for strategy ucompm")
+        breakdown = bounds.redundancy_ucompm(family.d, args.n, args.m)
+    else:
+        if args.m is None:
+            raise _CliError(EXIT_VALIDATION, "--m is required for strategy ducompm")
+        if args.pe is None:
+            raise _CliError(EXIT_VALIDATION, "--pe is required for strategy ducompm")
+        breakdown = bounds.redundancy_ducompm(family, args.n, args.m, args.pe, mode)
     doc = {
         "strategy": breakdown.strategy,
         "family": family.kind,
@@ -118,15 +116,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    try:
-        table = bounds.figure_preset(args.preset, args.mode)
-    except ValueError as e:
-        raise _CliError(EXIT_VALIDATION, str(e)) from e
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(table.to_csv())
-    except OSError as e:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
+    table = bounds.figure_preset(args.preset, args.mode)
+    _write_bytes(args.out, table.to_csv().encode())
     return EXIT_OK
 
 
@@ -156,13 +147,10 @@ def cmd_encode(args) -> int:
             raise _CliError(EXIT_VALIDATION, "--pe is required for strategy ducompm")
         if family.kind != MEMORYLESS:
             raise _CliError(EXIT_VALIDATION, "ducompm supports only --family memoryless")
-        try:
-            cfg = ducompm.DucompmConfig(
-                k=args.k, m=args.memory_len, p_e=args.pe, hash_seed=args.seed
-            )
-            payload = ducompm.encode_ducompm(x, cfg).payload()
-        except (ValueError, ducompm.ResourceLimitError) as e:
-            raise _CliError(EXIT_VALIDATION, str(e)) from e
+        cfg = ducompm.DucompmConfig(
+            k=args.k, m=args.memory_len, p_e=args.pe, hash_seed=args.seed
+        )
+        payload = ducompm.encode_ducompm(x, cfg).payload()
         m, p_e = args.memory_len, args.pe
     container = codec.Container(
         strategy=args.strategy,
@@ -173,11 +161,7 @@ def cmd_encode(args) -> int:
         p_e=p_e,
         payload=payload,
     )
-    try:
-        blob = codec.pack_container(container)
-    except ValueError as e:
-        raise _CliError(EXIT_VALIDATION, str(e)) from e
-    _write_bytes(args.out, blob)
+    _write_bytes(args.out, codec.pack_container(container))
     return EXIT_OK
 
 
@@ -220,13 +204,10 @@ def cmd_decode(args) -> int:
         if args.memory is None:
             raise _CliError(EXIT_VALIDATION, "--memory is required to decode a ducompm container")
         y = _symbols_from_file(args.memory, container.k)
-        try:
-            cfg = ducompm.DucompmConfig(
-                k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
-            )
-            outcome = ducompm.decode_ducompm(container.payload, y, container.n, cfg)
-        except (ValueError, ducompm.ResourceLimitError) as e:  # FramingError included
-            raise _CliError(EXIT_VALIDATION, str(e)) from e
+        cfg = ducompm.DucompmConfig(
+            k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
+        )
+        outcome = ducompm.decode_ducompm(container.payload, y, container.n, cfg)
         if not outcome.ok:
             raise _CliError(EXIT_DECODE_FAILURE, f"declared decode failure: {outcome.failure_reason}")
         x = outcome.sequence
@@ -234,22 +215,15 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+# JSON config key -> ExperimentConfig field; the config file says "family"
 _CONFIG_KEYS = {
-    "family": "family_kind",
-    "k": "k",
-    "n": "n",
-    "m": "m",
-    "p_e": "p_e",
-    "strategies": "strategies",
-    "trials": "trials",
-    "master_seed": "master_seed",
-    "theta_mode": "theta_mode",
-    "theta": "theta",
-    "hash_seed": "hash_seed",
-    "inflation": "inflation",
-    "collision_budget": "collision_budget",
-    "candidate_cap": "candidate_cap",
+    "family" if f.name == "family_kind" else f.name: f.name
+    for f in dataclasses.fields(harness.ExperimentConfig)
 }
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def _load_config(path: str, trials_override) -> harness.ExperimentConfig:
@@ -263,51 +237,33 @@ def _load_config(path: str, trials_override) -> harness.ExperimentConfig:
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         raise _CliError(EXIT_VALIDATION, f"{path}: unknown config fields: {', '.join(unknown)}")
-    kwargs = {_CONFIG_KEYS[key]: value for key, value in doc.items()}
-    if "strategies" in kwargs:
-        kwargs["strategies"] = tuple(kwargs["strategies"])
-    if kwargs.get("theta") is not None:
-        theta = kwargs["theta"]
-        kwargs["theta"] = tuple(tuple(row) for row in theta) if theta and isinstance(theta[0], list) else tuple(theta)
+    kwargs = {_CONFIG_KEYS[key]: _tuples(value) for key, value in doc.items()}
     if trials_override is not None:
         kwargs["trials"] = trials_override
     try:
         cfg = harness.ExperimentConfig(**kwargs)
-        cfg.validate()
-    except TypeError as e:
+    except TypeError as e:  # a missing field
         raise _CliError(EXIT_VALIDATION, f"{path}: {e}") from e
-    except harness.ValidationError as e:
-        raise _CliError(EXIT_VALIDATION, str(e)) from e
+    cfg.validate()
     return cfg
 
 
 def _emit_results(result, out_path: str, cfg: harness.ExperimentConfig):
-    try:
-        if out_path.endswith(".json"):
-            harness.emit_json(result, out_path, config=cfg)
-        else:
-            harness.emit_csv(result, out_path)
-    except OSError as e:
-        raise _CliError(EXIT_IO, str(e)) from e
+    if out_path.endswith(".json"):
+        harness.emit_json(result, out_path, config=cfg)
+    else:
+        harness.emit_csv(result, out_path)
 
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config, args.trials)
-    try:
-        rows = harness.run_experiment(cfg, workers=_workers(args))
-    except ducompm.ResourceLimitError as e:
-        raise _CliError(EXIT_VALIDATION, str(e)) from e
-    _emit_results(rows, args.out, cfg)
+    _emit_results(harness.run_experiment(cfg, workers=_workers(args)), args.out, cfg)
     return EXIT_OK
 
 
 def cmd_coverage(args) -> int:
     cfg = _load_config(args.config, args.trials)
-    try:
-        report = harness.run_coverage(cfg, workers=_workers(args))
-    except harness.ValidationError as e:
-        raise _CliError(EXIT_VALIDATION, str(e)) from e
-    _emit_results(report, args.out, cfg)
+    _emit_results(harness.run_coverage(cfg, workers=_workers(args)), args.out, cfg)
     return EXIT_OK
 
 
@@ -362,29 +318,26 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _report_error(err: _CliError, json_mode: bool):
-    if json_mode:
-        sys.stderr.write(json.dumps({"error": {"code": err.code, "message": err.message}}) + "\n")
-    else:
-        sys.stderr.write(f"error: {err.message}\n")
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     json_mode = "--json" in argv
     parser = _build_parser()
+    # the one exception -> exit code table; ValueError covers FramingError,
+    # ValidationError and JSONDecodeError
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except _CliError as e:
-        _report_error(e, json_mode)
-        return e.code
-    except harness.ValidationError as e:
-        _report_error(_CliError(EXIT_VALIDATION, str(e)), json_mode)
-        return EXIT_VALIDATION
+        code, message = e.code, e.message
+    except (ValueError, ducompm.ResourceLimitError) as e:
+        code, message = EXIT_VALIDATION, str(e)
     except OSError as e:
-        _report_error(_CliError(EXIT_IO, str(e)), json_mode)
-        return EXIT_IO
+        code, message = EXIT_IO, str(e)
+    if json_mode:
+        sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}) + "\n")
+    else:
+        sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 def entry():

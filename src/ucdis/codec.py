@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import LN2
-from .sources import MARKOV1, MEMORYLESS, SourceFamily, _validate_sequence
+from .sources import MARKOV1, MEMORYLESS, SourceFamily, _validate_sequence, context_counts
 
 _STATE_BITS = 64
 _MASK = (1 << _STATE_BITS) - 1
@@ -385,19 +385,11 @@ def ac_decode(model, bits: BitStream, n: int):
 
 
 def _primed_state(family: SourceFamily, y: np.ndarray) -> KTState:
-    contexts = family.k if family.kind == MARKOV1 else 1
-    state = KTState(family.k, contexts)
-    if family.kind == MEMORYLESS:
-        state.prime(0, np.bincount(y, minlength=family.k))
-    else:
-        # consume the memory along its context chain, initial context 0
-        k = family.k
-        counts = np.zeros((k, k), dtype=np.int64)
-        if y.size:
-            prev = np.concatenate(([0], y[:-1]))
-            np.add.at(counts, (prev, y), 1)
-        for ctx in range(k):
-            state.prime(ctx, counts[ctx])
+    # consume the memory along its context chain, initial context 0
+    counts = context_counts(family, y, initial_context=0)
+    state = KTState(family.k, counts.shape[0])
+    for ctx, row in enumerate(counts):
+        state.prime(ctx, row)
     return state
 
 
@@ -429,25 +421,11 @@ def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
     With ``memory`` the product is taken with counts primed by the memory
     sequence, matching encode_ucompm's model.
     """
-    x = _validate_sequence(x, family.k)
     k = family.k
-    contexts = k if family.kind == MARKOV1 else 1
-
-    def context_counts(seq):
-        if family.kind == MEMORYLESS:
-            return np.bincount(seq, minlength=k).reshape(1, k)
-        counts = np.zeros((k, k), dtype=np.int64)
-        if seq.size:
-            prev = np.concatenate(([0], seq[:-1]))
-            np.add.at(counts, (prev, seq), 1)
-        return counts
-
-    base = np.zeros((contexts, k), dtype=np.int64)
-    if memory is not None:
-        base = context_counts(_validate_sequence(memory, family.k))
-    cx = context_counts(x)
+    cx = context_counts(family, x, initial_context=0)
+    base = np.zeros_like(cx) if memory is None else context_counts(family, memory, initial_context=0)
     nats = 0.0
-    for ctx in range(contexts):
+    for ctx in range(cx.shape[0]):
         n0 = int(base[ctx].sum())
         n1 = int(cx[ctx].sum())
         if n1 == 0:

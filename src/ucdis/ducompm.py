@@ -68,14 +68,10 @@ class DucompmConfig:
                 f"p_e must lie in (0,1), got {self.p_e}; "
                 "for p_e = 0 use the strictly lossless ucomp path"
             )
-        if self.inflation < 1.0:
-            raise ValueError("inflation must be >= 1")
+        if not 1.0 <= self.inflation < math.inf:
+            raise ValueError(f"inflation must be finite and >= 1, got {self.inflation}")
         if self.collision_budget is not None and not (0.0 < self.collision_budget < 1.0):
             raise ValueError("collision_budget must lie in (0,1)")
-
-    @property
-    def effective_collision_budget(self) -> float:
-        return self.p_e if self.collision_budget is None else self.collision_budget
 
 
 class Ellipsoid:
@@ -109,6 +105,22 @@ def type_of(x, k: int) -> np.ndarray:
     return np.bincount(x, minlength=k)
 
 
+def _ellipsoid(seq, n: int, m: int, p_e: float, k: int) -> Ellipsoid:
+    # the region's recipe, shared by the decoder (seq = memory) and the
+    # encoder's surrogate (seq = its own sequence): smoothed center, Fisher
+    # matrix there, r = n m / (n + m), chi-square_(k-1) quantile at 1 - p_e
+    family = SourceFamily("memoryless", k)
+    center = smoothed_estimate(family, seq)
+    d = k - 1
+    return Ellipsoid(
+        center=center,
+        r=n * m / (n + m),
+        fisher=fisher_info(family, center),
+        radius_bits=delta_d(d, p_e),
+        chi2_threshold=chi2_quantile_upper(d, p_e),
+    )
+
+
 def build_ellipsoid(y, n: int, p_e: float, k: int) -> Ellipsoid:
     """Decoder acceptance region for a length-n type, from memory sequence y."""
     y = _validate_sequence(y, k)
@@ -119,18 +131,7 @@ def build_ellipsoid(y, n: int, p_e: float, k: int) -> Ellipsoid:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 < p_e < 1.0):
         raise ValueError(f"p_e must lie in (0,1), got {p_e}")
-    family = SourceFamily("memoryless", k)
-    center = smoothed_estimate(family, y)
-    fisher = fisher_info(family, center)
-    r = n * m / (n + m)
-    d = k - 1
-    return Ellipsoid(
-        center=center,
-        r=r,
-        fisher=fisher,
-        radius_bits=delta_d(d, p_e),
-        chi2_threshold=chi2_quantile_upper(d, p_e),
-    )
+    return _ellipsoid(y, n, m, p_e, k)
 
 
 def _qform(e: Ellipsoid, t, n: int) -> float:
@@ -394,16 +395,7 @@ def hash_length(
     if x.size != n:
         raise ValueError(f"sequence length {x.size} != n={n}")
     budget = p_e if collision_budget is None else collision_budget
-    family = SourceFamily("memoryless", k)
-    center = smoothed_estimate(family, x)
-    d = k - 1
-    surrogate = Ellipsoid(
-        center=center,
-        r=n * m / (n + m),
-        fisher=fisher_info(family, center),
-        radius_bits=delta_d(d, p_e),
-        chi2_threshold=chi2_quantile_upper(d, p_e),
-    )
+    surrogate = _ellipsoid(x, n, m, p_e, k)
     n_hat = max(1, count_types_in_ellipsoid(surrogate, n, k, cap=candidate_cap))
     b = max(1, math.ceil(math.log2(inflation * n_hat / budget)))
     if b > 64:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -45,6 +47,20 @@ class CodecIntegrityError(RuntimeError):
     """A strictly lossless strategy failed to round-trip (codec bug)."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(
+        _is_numbers(x) if isinstance(x, (list, tuple)) else _is_real(x) for x in v
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     family_kind: str
@@ -63,7 +79,22 @@ class ExperimentConfig:
     candidate_cap: int = ducompm.DEFAULT_CANDIDATE_CAP
 
     def validate(self):
+        # types first: the range checks below compare and iterate the values
         errs = []
+        for name in ("k", "n", "m", "trials", "master_seed", "hash_seed", "candidate_cap"):
+            if not _is_int(getattr(self, name)):
+                errs.append(f"{name}: must be an integer, got {getattr(self, name)!r}")
+        for name in ("p_e", "inflation", "collision_budget"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (value is None and name == "collision_budget")):
+                errs.append(f"{name}: must be a number, got {value!r}")
+        if not (isinstance(self.strategies, (list, tuple))
+                and all(isinstance(s, str) for s in self.strategies)):
+            errs.append(f"strategies: must be a list of strategy names, got {self.strategies!r}")
+        if not (self.theta is None or _is_numbers(self.theta)):
+            errs.append(f"theta: must be a (nested) list of numbers, got {self.theta!r}")
+        if errs:
+            raise ValidationError(errs)
         if self.family_kind not in (MEMORYLESS, "markov1"):
             errs.append(f"family_kind: unknown {self.family_kind!r}")
         if self.k < 2:
@@ -81,15 +112,17 @@ class ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGIES:
                 errs.append(f"strategies: unknown strategy {s!r}")
+        if "ucomp" in self.strategies and self.n < 2:
+            errs.append(f"n: ucomp requires n >= 2, got {self.n}")
+        if "ucompm" in self.strategies and self.m < 1:
+            errs.append(f"m: ucompm requires m >= 1, got {self.m}")
         if "ducompm" in self.strategies:
             if self.family_kind != MEMORYLESS:
                 errs.append("strategies: ducompm requires the memoryless family")
-            if not (0.0 < self.p_e < 1.0):
-                errs.append("p_e: ducompm requires 0 < p_e < 1")
-            if self.m < 1:
-                errs.append("m: ducompm requires m >= 1")
-        if "ucompm" in self.strategies and self.m < 0:
-            errs.append(f"m: must be >= 0 for ucompm, got {self.m}")
+            try:
+                self.ducompm_config()
+            except ValueError as e:
+                errs.append(f"ducompm: {e}")
         if self.theta_mode not in ("jeffreys", "fixed"):
             errs.append(f"theta_mode: must be 'jeffreys' or 'fixed', got {self.theta_mode!r}")
         if self.theta_mode == "fixed":
@@ -156,20 +189,35 @@ class TrialData:
     entropy_bits: np.ndarray  # H_n(theta_t) = n * entropy_rate(theta_t)
 
 
-def _draw_theta(cfg: ExperimentConfig, family: SourceFamily, theta_seed: int):
+def _draw(cfg: ExperimentConfig, t: int, need_memory: bool = True):
+    """Trial t's (family, theta, y, x): split seeds 0, 1 and 2 of the trial
+    seed draw theta, the memory y (None unless ``need_memory``) and x."""
+    family = SourceFamily(cfg.family_kind, cfg.k)
+    trial_seed = split_seed(cfg.master_seed, t)
     if cfg.theta_mode == "fixed":
-        return validate_theta(family, np.asarray(cfg.theta, dtype=np.float64))
-    return sample_jeffreys(family, theta_seed)
+        theta = validate_theta(family, np.asarray(cfg.theta, dtype=np.float64))
+    else:
+        theta = sample_jeffreys(family, split_seed(trial_seed, 0))
+    y = sample_sequence(family, theta, cfg.m, split_seed(trial_seed, 1)) if need_memory else None
+    x = sample_sequence(family, theta, cfg.n, split_seed(trial_seed, 2))
+    return family, theta, y, x
+
+
+def _map_trials(fn, cfg: ExperimentConfig, workers: int) -> list:
+    """``[fn(cfg, t) for t in range(cfg.trials)]``, over worker processes when
+    workers > 1.  The pool never exceeds the trial or CPU count: every worker
+    process is started up front."""
+    workers = min(workers, cfg.trials, os.cpu_count() or 1)
+    trial = partial(fn, cfg)
+    if workers <= 1:
+        return [trial(t) for t in range(cfg.trials)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, range(cfg.trials), chunksize=max(1, cfg.trials // (8 * workers))))
 
 
 def _experiment_trial(cfg: ExperimentConfig, t: int):
-    family = SourceFamily(cfg.family_kind, cfg.k)
-    trial_seed = split_seed(cfg.master_seed, t)
-    theta = _draw_theta(cfg, family, split_seed(trial_seed, 0))
-    x = sample_sequence(family, theta, cfg.n, split_seed(trial_seed, 2))
     need_memory = "ucompm" in cfg.strategies or "ducompm" in cfg.strategies
-    y = sample_sequence(family, theta, cfg.m, split_seed(trial_seed, 1)) if need_memory else None
-
+    family, theta, y, x = _draw(cfg, t, need_memory)
     h_bits = cfg.n * entropy_rate(family, theta)
     lens, errs = {}, {}
     if "ucomp" in cfg.strategies:
@@ -199,13 +247,7 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialData:
     """Raw per-trial lengths and error indicators (basis for run_experiment)."""
     cfg.validate()
     ordered = tuple(s for s in STRATEGIES if s in cfg.strategies)
-    fn = partial(_experiment_trial, cfg)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(fn, range(cfg.trials), chunksize=max(1, cfg.trials // (8 * workers))))
-    else:
-        rows = [fn(t) for t in range(cfg.trials)]
-    table = np.asarray(rows, dtype=np.float64)
+    table = np.asarray(_map_trials(_experiment_trial, cfg, workers), dtype=np.float64)
     ns = len(ordered)
     return TrialData(
         strategies=ordered,
@@ -251,11 +293,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
 
 
 def _coverage_trial(cfg: ExperimentConfig, t: int) -> float:
-    family = SourceFamily(cfg.family_kind, cfg.k)
-    trial_seed = split_seed(cfg.master_seed, t)
-    theta = _draw_theta(cfg, family, split_seed(trial_seed, 0))
-    y = sample_sequence(family, theta, cfg.m, split_seed(trial_seed, 1))
-    x = sample_sequence(family, theta, cfg.n, split_seed(trial_seed, 2))
+    _, _, y, x = _draw(cfg, t)
     e = ducompm.build_ellipsoid(y, cfg.n, cfg.p_e, cfg.k)
     return 1.0 if ducompm.ellipsoid_contains(e, ducompm.type_of(x, cfg.k), cfg.n) else 0.0
 
@@ -272,12 +310,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> CoverageReport:
         errs.append("m: coverage runs require m >= 1")
     if errs:
         raise ValidationError(errs)
-    fn = partial(_coverage_trial, cfg)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(fn, range(cfg.trials), chunksize=max(1, cfg.trials // (8 * workers))))
-    else:
-        hits = [fn(t) for t in range(cfg.trials)]
+    hits = _map_trials(_coverage_trial, cfg, workers)
     return CoverageReport(
         k=cfg.k,
         n=cfg.n,

@@ -140,33 +140,43 @@ def entropy_rate(family: SourceFamily, theta) -> float:
     return float(sum(pi[s] * _entropy_bits(theta[s]) for s in range(family.k)))
 
 
+def context_counts(family: SourceFamily, seq, initial_context: int | None = None) -> np.ndarray:
+    """Symbol counts per context as a (contexts, k) int64 array.
+
+    Memoryless sequences give one row.  Markov chains count each transition
+    prev -> cur in row prev: over the in-sequence pairs by default, or with
+    ``initial_context`` as the context of the first symbol, so that every
+    symbol is counted once (the coder's convention, with context 0).
+    """
+    k = family.k
+    seq = _validate_sequence(seq, k)
+    if family.kind == MEMORYLESS:
+        return np.bincount(seq, minlength=k).reshape(1, k)
+    if initial_context is None:
+        prev, cur = seq[:-1], seq[1:]
+    else:
+        prev, cur = np.concatenate(([initial_context], seq))[:-1], seq
+    return np.bincount(prev * k + cur, minlength=k * k).reshape(k, k)
+
+
 def ml_estimate(family: SourceFamily, x) -> np.ndarray:
     """Maximum-likelihood parameter: empirical frequencies (may sit on the boundary)."""
     x = _validate_sequence(x, family.k)
     if x.size == 0:
         raise ValueError("ml_estimate requires a nonempty sequence")
+    counts = context_counts(family, x)
     if family.kind == MEMORYLESS:
-        return np.bincount(x, minlength=family.k) / x.size
-    k = family.k
-    counts = np.zeros((k, k))
-    np.add.at(counts, (x[:-1], x[1:]), 1.0)
+        return counts[0] / x.size
     rows = counts.sum(axis=1, keepdims=True)
-    out = np.where(rows > 0, counts / np.where(rows > 0, rows, 1.0), 1.0 / k)
-    return out
+    return np.where(rows > 0, counts / np.where(rows > 0, rows, 1.0), 1.0 / family.k)
 
 
 def smoothed_estimate(family: SourceFamily, x) -> np.ndarray:
     """Posterior-mean estimate (c + 1/2) / (n + k/2); strictly interior, n = 0 allowed."""
-    x = _validate_sequence(x, family.k)
-    k = family.k
-    if family.kind == MEMORYLESS:
-        counts = np.bincount(x, minlength=k).astype(np.float64)
-        return (counts + 0.5) / (x.size + 0.5 * k)
-    counts = np.zeros((k, k))
-    if x.size > 1:
-        np.add.at(counts, (x[:-1], x[1:]), 1.0)
+    counts = context_counts(family, x)
     rows = counts.sum(axis=1, keepdims=True)
-    return (counts + 0.5) / (rows + 0.5 * k)
+    out = (counts + 0.5) / (rows + 0.5 * family.k)
+    return out[0] if family.kind == MEMORYLESS else out
 
 
 def kl_divergence_rate(family: SourceFamily, lam, theta) -> float:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ucdis import cli, codec
+from ucdis import cli, codec, harness
 from ucdis.sources import memoryless, sample_sequence
 
 
@@ -309,6 +309,36 @@ class TestExperimentCli:
             assert code == 1
             message = json.loads(err)["error"]["message"] if mode else err
             assert "candidate_cap=1" in message
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(strategies=["ucompm"], m=0), "m"),
+        (dict(strategies=["ucomp"], n=1), "n"),
+        (dict(inflation=0.5), "inflation"),
+        (dict(inflation=float("inf")), "inflation"),
+        (dict(collision_budget=2), "collision_budget"),
+        (dict(strategies=5), "strategies"),
+        (dict(theta=0.5), "theta"),
+        (dict(trials=2.5), "trials"),
+        (dict(n=20.0), "n"),
+    ], ids=["ucompm-m0", "ucomp-n1", "inflation-half", "inflation-inf", "budget-2",
+            "strategies-int", "theta-scalar", "trials-float", "n-float"])
+    def test_config_rejected_before_any_trial(self, capsys, tmp_path, monkeypatch, overrides,
+                                               field):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the config was rejected")
+
+        monkeypatch.setattr(harness, "sample_sequence", no_trial)
+        cfg = self._config(tmp_path, **overrides)
+        for mode in ([], ["--json"]):
+            code, _, err = run_cli(capsys, *mode, "experiment", "--config", str(cfg),
+                                   "--out", str(tmp_path / "o.csv"))
+            assert code == 1
+            assert "Traceback" not in err
+            message = json.loads(err)["error"]["message"] if mode else err
+            assert field in message
+            if not mode:
+                assert err.startswith("error: ")
         assert not (tmp_path / "o.csv").exists()
 
     def test_coverage_csv(self, capsys, tmp_path):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from ucdis import bounds
+from ucdis import bounds, harness
 from ucdis.harness import (
     CoverageReport,
     ExperimentConfig,
@@ -69,6 +69,32 @@ class TestDeterminism:
     def test_worker_count_invariance(self):
         cfg = small_cfg(trials=24)
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+
+    def test_pool_capped_by_trials_and_cpus(self, monkeypatch):
+        # a fork pool starts every worker up front, so an oversized worker
+        # count must not reach it; an in-process stand-in records the size
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        cfg = small_cfg(trials=3)
+        assert run_experiment(cfg, workers=10**6) == run_experiment(cfg)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        run_coverage(small_cfg(strategies=("ducompm",), trials=3), workers=10**6)
+        assert sizes == [3, 2]
 
     def test_different_seed_changes_results(self):
         a = run_experiment(small_cfg(strategies=("ucomp",)))

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucdis.sources import (
     BoundaryThetaError,
     SourceFamily,
+    context_counts,
     entropy_rate,
     fisher_info,
     kl_divergence_rate,
@@ -120,6 +123,42 @@ class TestEstimation:
             if np.abs(ml_estimate(MEM2, x) - theta).max() <= 0.02:
                 hits += 1
         assert hits >= 990
+
+
+def context_counts_reference(family, seq, initial_context=None):
+    """Plain loop: each symbol counted in the row of the symbol before it
+    (Markov) or in the one row (memoryless); a Markov first symbol is counted
+    only under an initial context."""
+    counts = [[0] * family.k for _ in range(family.k if family.kind == "markov1" else 1)]
+    prev = initial_context
+    for s in seq:
+        if family.kind == "memoryless":
+            counts[0][s] += 1
+        elif prev is not None:
+            counts[prev][s] += 1
+        prev = s
+    return counts
+
+
+class TestContextCounts:
+    def test_both_markov_conventions(self):
+        # [1, 1, 0]: pairs 1->1 and 1->0 in the sequence; initial context 0
+        # adds the pair 0->1 for the first symbol (the coder's convention)
+        fam = markov1(2)
+        assert context_counts(fam, [1, 1, 0]).tolist() == [[0, 0], [1, 1]]
+        assert context_counts(fam, [1, 1, 0], initial_context=0).tolist() == [[0, 1], [1, 1]]
+        assert context_counts(MEM2, [1, 1, 0], initial_context=0).tolist() == [[1, 2]]
+
+    @settings(max_examples=300)
+    @given(st.data(), st.sampled_from(["memoryless", "markov1"]), st.integers(2, 8),
+           st.integers(0, 60))
+    def test_matches_loop_reference(self, data, kind, k, n):
+        fam = SourceFamily(kind, k)
+        seq = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        initial = data.draw(st.none() | st.integers(0, k - 1))
+        got = context_counts(fam, seq, initial_context=initial)
+        assert got.dtype == np.int64
+        assert got.tolist() == context_counts_reference(fam, seq, initial)
 
 
 class TestKL:

@@ -1,0 +1,42 @@
+"""The benchmark's tracer wraps ucdis attributes by name; they must exist.
+
+``perfbench/tracing.py`` replaces each ``(module, attribute)`` of its
+``WRAPS`` table at run time, and its hooks and deferred passes call a few more
+names.  A refactor that drops or renames one breaks the traced benchmark run
+only, so this test reads the table from source (without importing perfbench)
+and checks every name here.
+"""
+
+import ast
+from pathlib import Path
+
+import ucdis
+import ucdis.cli  # not imported by the package; the tracer wraps its commands
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _wraps():
+    tree = ast.parse(TRACING.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no WRAPS table in {TRACING}")
+
+
+def test_wrapped_attributes_exist():
+    wraps = _wraps()
+    assert wraps
+    missing = [f"{mod}.{attr}" for mod, attr, _ in wraps
+               if not callable(getattr(getattr(ucdis, mod, None), attr, None))]
+    assert missing == []
+
+
+def test_hook_names_exist():
+    assert callable(ucdis.codec.KTCoderModel)
+    assert callable(ucdis.codec.BitWriter.write_bit)
+    assert callable(ucdis.codec.BitReader.read_bit)
+    assert callable(ucdis.ducompm.universal_hash)
+    assert callable(ucdis.sources.SourceFamily)
