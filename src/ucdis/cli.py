@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bounds, codec, ducompm, harness
-from .sources import MEMORYLESS, SourceFamily
+from .sources import MARKOV1, MEMORYLESS, SourceFamily
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -273,13 +273,13 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="evaluate a redundancy bound")
-    b.add_argument("--family", choices=["memoryless", "markov1"], default="memoryless")
+    b.add_argument("--family", choices=(MEMORYLESS, MARKOV1), default=MEMORYLESS)
     b.add_argument("--k", type=int, default=256, help="alphabet size")
     b.add_argument("--n", type=int, required=True, help="sequence length (symbols)")
     b.add_argument("--m", type=int, help="memory length (symbols)")
     b.add_argument("--pe", type=float, help="permissible error probability")
     b.add_argument("--mode", choices=["approx", "exact"], default="approx")
-    b.add_argument("--strategy", choices=["ucomp", "ucompm", "ducompm"], required=True)
+    b.add_argument("--strategy", choices=harness.STRATEGIES, required=True)
     b.set_defaults(func=cmd_bounds)
 
     f = sub.add_parser("figure", help="write a redundancy-rate curve table as CSV")
@@ -289,11 +289,11 @@ def _build_parser() -> _Parser:
     f.set_defaults(func=cmd_figure)
 
     e = sub.add_parser("encode", help="encode a symbol file (one byte per symbol)")
-    e.add_argument("--strategy", choices=["ucomp", "ucompm", "ducompm"], required=True)
+    e.add_argument("--strategy", choices=harness.STRATEGIES, required=True)
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--k", type=int, default=256)
-    e.add_argument("--family", choices=["memoryless", "markov1"], default="memoryless")
+    e.add_argument("--family", choices=(MEMORYLESS, MARKOV1), default=MEMORYLESS)
     e.add_argument("--memory", help="memory sequence file (ucompm only)")
     e.add_argument("--memory-len", type=int, help="memory length m (ducompm only)")
     e.add_argument("--pe", type=float, help="permissible error probability (ducompm)")

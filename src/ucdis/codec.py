@@ -4,13 +4,13 @@ The coder is a classic carry-free integer-interval coder (64-bit registers,
 MSB-first bit output, deferred-underflow renormalization) that moves the
 settled bits of each narrowing through word-based bit I/O in one call.
 Probability models feed it exact integer frequency intervals; the
-Krichevsky-Trofimov model uses freq(a) = 2*count(a) + 1 over total = 2*N + k
-so the implied probabilities (count + 1/2)/(N + k/2) are exact rationals,
-keeping encoder and decoder states identical bit for bit.
+Krichevsky-Trofimov model, ``KTCoderModel``, uses freq(a) = 2*count(a) + 1
+over total = 2*N + k so the implied probabilities (count + 1/2)/(N + k/2) are
+exact rationals, keeping encoder and decoder states identical bit for bit.
 
-Universal coding without memory (ucomp) starts from empty counts; coding with
-a shared memory sequence (ucompm) first primes the counts by consuming the
-memory on both sides.
+Universal coding without memory (ucomp) starts that model from empty counts;
+coding with a shared memory sequence (ucompm) starts it from the memory's
+counts on both sides.
 """
 
 from __future__ import annotations
@@ -124,90 +124,44 @@ class BitReader:
         return (self.window >> nwin) & ((1 << nbits) - 1)
 
 
-class KTState:
-    """Per-context symbol counts with integer coder frequencies.
-
-    A Fenwick tree per context serves cumulative-frequency queries and symbol
-    search in O(log k).  Counts only ever grow by one per consumed symbol
-    (bulk priming aside).
-    """
-
-    __slots__ = ("k", "contexts", "counts", "totals", "trees", "tree_size")
-
-    def __init__(self, k: int, contexts: int = 1):
-        if k < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {k}")
-        self.k = k
-        self.contexts = contexts
-        self.counts = [[0] * k for _ in range(contexts)]
-        self.totals = [0] * contexts
-        size = 1
-        while size < k:
-            size <<= 1
-        self.tree_size = size
-        self.trees = [[0] * (size + 1) for _ in range(contexts)]
-
-    def prob(self, context: int, symbol: int) -> float:
-        if not (0 <= symbol < self.k):
-            raise ValueError(f"symbol {symbol} out of range for k={self.k}")
-        return (self.counts[context][symbol] + 0.5) / (self.totals[context] + 0.5 * self.k)
-
-    def update(self, context: int, symbol: int):
-        self.counts[context][symbol] += 1
-        self.totals[context] += 1
-        tree = self.trees[context]
-        i = symbol + 1
-        size = self.tree_size
-        while i <= size:
-            tree[i] += 1
-            i += i & (-i)
-
-    def prime(self, context: int, extra_counts):
-        """Bulk-add counts to one context and rebuild its tree."""
-        cs = self.counts[context]
-        for a, c in enumerate(extra_counts):
-            cs[a] += int(c)
-        self.totals[context] = sum(cs)
-        tree = self.trees[context]
-        prefix = 0
-        pref = [0] * (self.tree_size + 1)
-        for i in range(1, self.tree_size + 1):
-            prefix += cs[i - 1] if i - 1 < self.k else 0
-            pref[i] = prefix
-        for i in range(1, self.tree_size + 1):
-            tree[i] = pref[i] - pref[i - (i & (-i))]
-
-
-def kt_probability(state: KTState, context: int, symbol: int) -> float:
-    """Sequential KT probability (count + 1/2) / (total + k/2)."""
-    return state.prob(context, symbol)
-
-
 class KTCoderModel:
     """Adaptive KT model over a sequence; context = previous symbol for markov1.
 
-    The initial context is fixed to symbol 0 on both sides, also after
-    memory priming.
+    Each context keeps its symbol counts, their total and a Fenwick tree over
+    the counts, which serves cumulative frequencies and symbol search in
+    O(log k).  ``counts``, a (contexts, k) array such as
+    ``sources.context_counts`` returns, primes the model; the initial context
+    is fixed to symbol 0 on both sides, also after priming.
     """
 
-    __slots__ = ("k", "state", "markov", "ctx", "_tree", "_counts", "_size")
+    __slots__ = ("k", "markov", "ctx", "_rows", "_totals", "_trees", "_tree", "_counts", "_size")
 
-    def __init__(self, family: SourceFamily, state: KTState | None = None):
-        contexts = family.k if family.kind == MARKOV1 else 1
-        if state is None:
-            state = KTState(family.k, contexts)
-        elif state.k != family.k or state.contexts != contexts:
-            raise ValueError("state shape does not match family")
-        self.k = family.k
-        self.state = state
+    def __init__(self, family: SourceFamily, counts=None):
+        k = family.k
+        self.k = k
         self.markov = family.kind == MARKOV1
         self.ctx = 0
-        self._tree = state.trees[0]
-        self._counts = state.counts[0]
-        self._size = state.tree_size
+        size = 1
+        while size < k:
+            size <<= 1
+        self._size = size
+        if counts is None:
+            counts = np.zeros((k if self.markov else 1, k), np.int64)
+        rows = np.asarray(counts, np.int64)
+        # tree[i] sums the counts of symbols i - (i & -i) .. i - 1: a difference
+        # of prefix sums over the counts, padded with zeros to the tree size
+        pref = np.zeros((len(rows), size + 1), np.int64)
+        pref[:, 1 : k + 1] = rows
+        pref = pref.cumsum(axis=1)
+        idx = np.arange(size + 1)
+        self._rows = rows.tolist()
+        self._totals = pref[:, size].tolist()
+        self._trees = (pref - pref[:, idx - (idx & -idx)]).tolist()
+        self._tree = self._trees[0]
+        self._counts = self._rows[0]
 
     def total(self) -> int:
-        return 2 * self.state.totals[self.ctx] + self.k
+        return 2 * self._totals[self.ctx] + self.k
 
     def interval(self, symbol: int) -> tuple[int, int]:
         tree = self._tree
@@ -236,11 +190,18 @@ class KTCoderModel:
         return pos, lo, lo + 2 * self._counts[pos] + 1
 
     def advance(self, symbol: int):
-        self.state.update(self.ctx, symbol)
+        self._counts[symbol] += 1
+        self._totals[self.ctx] += 1
+        tree = self._tree
+        size = self._size
+        i = symbol + 1
+        while i <= size:
+            tree[i] += 1
+            i += i & (-i)
         if self.markov:
             self.ctx = symbol
-            self._tree = self.state.trees[symbol]
-            self._counts = self.state.counts[symbol]
+            self._tree = self._trees[symbol]
+            self._counts = self._rows[symbol]
 
 
 class FixedModel:
@@ -384,13 +345,9 @@ def ac_decode(model, bits: BitStream, n: int):
     return out
 
 
-def _primed_state(family: SourceFamily, y: np.ndarray) -> KTState:
+def _primed_state(family: SourceFamily, y: np.ndarray) -> KTCoderModel:
     # consume the memory along its context chain, initial context 0
-    counts = context_counts(family, y, initial_context=0)
-    state = KTState(family.k, counts.shape[0])
-    for ctx, row in enumerate(counts):
-        state.prime(ctx, row)
-    return state
+    return KTCoderModel(family, context_counts(family, y, initial_context=0))
 
 
 def encode_ucomp(family: SourceFamily, x) -> BitStream:
@@ -407,12 +364,12 @@ def encode_ucompm(family: SourceFamily, y, x) -> BitStream:
     """Universal coding with counts primed by the shared memory sequence y."""
     y = _validate_sequence(y, family.k)
     x = _validate_sequence(x, family.k)
-    return ac_encode(KTCoderModel(family, _primed_state(family, y)), x.tolist())
+    return ac_encode(_primed_state(family, y), x.tolist())
 
 
 def decode_ucompm(family: SourceFamily, y, bits: BitStream, n: int) -> np.ndarray:
     y = _validate_sequence(y, family.k)
-    return np.array(ac_decode(KTCoderModel(family, _primed_state(family, y)), bits, n), dtype=np.int64)
+    return np.array(ac_decode(_primed_state(family, y), bits, n), dtype=np.int64)
 
 
 def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 from . import bounds, codec, ducompm
 from .rng import RNG_ALGORITHM, split_seed
 from .sources import (
+    MARKOV1,
     MEMORYLESS,
     SourceFamily,
     entropy_rate,
@@ -95,7 +96,7 @@ class ExperimentConfig:
             errs.append(f"theta: must be a (nested) list of numbers, got {self.theta!r}")
         if errs:
             raise ValidationError(errs)
-        if self.family_kind not in (MEMORYLESS, "markov1"):
+        if self.family_kind not in (MEMORYLESS, MARKOV1):
             errs.append(f"family_kind: unknown {self.family_kind!r}")
         if self.k < 2:
             errs.append(f"k: must be >= 2, got {self.k}")
@@ -130,7 +131,7 @@ class ExperimentConfig:
                 errs.append("theta: required when theta_mode is 'fixed'")
             else:
                 try:
-                    if self.family_kind in (MEMORYLESS, "markov1") and self.k >= 2:
+                    if self.family_kind in (MEMORYLESS, MARKOV1) and self.k >= 2:
                         validate_theta(SourceFamily(self.family_kind, self.k), np.asarray(self.theta))
                 except ValueError as e:
                     errs.append(f"theta: {e}")

@@ -1,10 +1,14 @@
 """Coder tests: strict losslessness, length bounds, determinism, container format."""
 
+import bisect
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ucdis import codec
 from ucdis.codec import (
@@ -13,31 +17,55 @@ from ucdis.codec import (
     FixedModel,
     FramingError,
     KTCoderModel,
-    KTState,
     ac_decode,
     ac_encode,
     ideal_kt_bits,
-    kt_probability,
     pack_container,
     unpack_container,
 )
-from ucdis.sources import markov1, memoryless, sample_sequence
+from ucdis.sources import MARKOV1, MEMORYLESS, SourceFamily, markov1, memoryless, sample_sequence
 
 MEM2 = memoryless(2)
 MEM4 = memoryless(4)
 
 
-class TestKTState:
+def kt_prob(model, symbol):
+    """The model's current probability of ``symbol``: its interval over the total."""
+    lo, hi = model.interval(symbol)
+    return (hi - lo) / model.total()
+
+
+def kt_cumulative(counts):
+    """Reference cumulative frequencies 0, f(0), f(0) + f(1), ... with f = 2c + 1."""
+    cum = [0]
+    for c in counts:
+        cum.append(cum[-1] + 2 * c + 1)
+    return cum
+
+
+@st.composite
+def primed_kt_models(draw):
+    """A family, a (contexts, k) priming count array with zero rows allowed,
+    and up to 50 symbols to advance by."""
+    kind = draw(st.sampled_from([MEMORYLESS, MARKOV1]))
+    k = draw(st.sampled_from([2, 4, 128, 255, 256]) | st.integers(2, 300))
+    contexts = k if kind == MARKOV1 else 1
+    counts = draw(arrays(np.int64, (contexts, k), elements=st.integers(0, 10**6)))
+    counts *= draw(arrays(np.bool_, (contexts, 1)))
+    return SourceFamily(kind, k), counts, draw(st.lists(st.integers(0, k - 1), max_size=50))
+
+
+class TestKTCoderModel:
     def test_fresh_probabilities(self):
-        state = KTState(2)
-        assert kt_probability(state, 0, 0) == 0.5
-        assert kt_probability(state, 0, 1) == 0.5
+        model = KTCoderModel(MEM2)
+        assert kt_prob(model, 0) == 0.5
+        assert kt_prob(model, 1) == 0.5
 
     def test_counted_probability(self):
-        state = KTState(2)
+        model = KTCoderModel(MEM2)
         for s in (0, 0, 0, 1):
-            state.update(0, s)
-        assert kt_probability(state, 0, 0) == pytest.approx(3.5 / 5.0)
+            model.advance(s)
+        assert kt_prob(model, 0) == 3.5 / 5.0
 
     def test_intervals_partition_total_exactly(self):
         # freq(a) = 2c+1 sum to 2N+k, so the cumulative intervals tile [0, total)
@@ -67,7 +95,29 @@ class TestKTState:
 
     def test_symbol_out_of_range(self):
         with pytest.raises(ValueError):
-            kt_probability(KTState(2), 0, 2)
+            codec.encode_ucomp(memoryless(2), [0, 2])
+
+    @settings(max_examples=300)
+    @given(primed_kt_models(), st.data())
+    def test_matches_cumulative_sum_reference(self, case, data):
+        fam, counts, symbols = case
+        model = KTCoderModel(fam, counts)
+        rows, ctx = counts.tolist(), 0
+        for step in range(len(symbols) + 1):
+            cum = kt_cumulative(rows[ctx])
+            assert model.total() == cum[-1]
+            assert [model.interval(a) for a in range(fam.k)] == list(zip(cum, cum[1:]))
+            targets = data.draw(st.lists(st.integers(0, cum[-1] - 1), min_size=1, max_size=8))
+            # every interval's first and last target, too
+            for t in targets + cum[:-1] + [c - 1 for c in cum[1:]]:
+                a = bisect.bisect_right(cum, t) - 1
+                assert model.locate(t) == (a, cum[a], cum[a + 1])
+            if step < len(symbols):
+                s = symbols[step]
+                model.advance(s)
+                rows[ctx][s] += 1
+                if fam.kind == MARKOV1:
+                    ctx = s
 
 
 class TestArithmeticCoder:
@@ -143,13 +193,10 @@ class TestUcomp:
         rng = np.random.default_rng(4)
         for fam in (memoryless(3), markov1(2)):
             x = rng.integers(0, fam.k, size=300)
-            state = KTState(fam.k, fam.k if fam.kind == "markov1" else 1)
-            ctx, nats = 0, 0.0
+            model, nats = KTCoderModel(fam), 0.0
             for s in x.tolist():
-                nats -= math.log(kt_probability(state, ctx, s))
-                state.update(ctx, s)
-                if fam.kind == "markov1":
-                    ctx = s
+                nats -= math.log(kt_prob(model, s))
+                model.advance(s)
             assert ideal_kt_bits(fam, x) == pytest.approx(nats / math.log(2), abs=1e-7)
 
     def test_fixed_theta_redundancy_band(self):

@@ -108,7 +108,7 @@ def coded_inputs(draw):
     if kind != "kt-primed":
         return (lambda: KTCoderModel(fam)), x
     y = np.array(draw(st.lists(sym, max_size=2000)), dtype=np.int64)
-    return (lambda: KTCoderModel(fam, codec._primed_state(fam, y))), x
+    return (lambda: codec._primed_state(fam, y)), x
 
 
 class TestCoderAgainstReference:

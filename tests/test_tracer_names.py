@@ -4,16 +4,21 @@
 ``WRAPS`` table at run time, and its hooks and deferred passes call a few more
 names.  A refactor that drops or renames one breaks the traced benchmark run
 only, so this test reads the table from source (without importing perfbench)
-and checks every name here.
+and checks every name here, and one short traced run checks that the hooks
+and deferred passes still work end to end.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import ucdis
 import ucdis.cli  # not imported by the package; the tracer wraps its commands
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _wraps():
@@ -40,3 +45,16 @@ def test_hook_names_exist():
     assert callable(ucdis.codec.BitReader.read_bit)
     assert callable(ucdis.ducompm.universal_hash)
     assert callable(ucdis.sources.SourceFamily)
+
+
+def test_traced_benchmark_smoke_run():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "lossless-files", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    for name in ("codec.kt_model_pass_s", "codec.kt_locate_pass_s", "codec.prime_s"):
+        assert result["metrics"][name]["value"] > 0, name
