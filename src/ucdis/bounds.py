@@ -163,7 +163,9 @@ def redundancy_ducompm(
     """
     if mode not in ("approx", "exact"):
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    if p_e < 0 or p_e > 1:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not (0.0 <= p_e <= 1.0):
         raise ValueError(f"p_e must lie in [0,1], got {p_e}")
     d = family.d
     if p_e == 0.0:

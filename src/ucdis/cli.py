@@ -268,7 +268,8 @@ def cmd_coverage(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="ucdis", description=__doc__)
+    # no abbreviations at the top level, so "--json" in argv agrees with the parse
+    p = _Parser(prog="ucdis", description=__doc__, allow_abbrev=False)
     p.add_argument("--json", action="store_true", help="emit errors as JSON on stderr")
     sub = p.add_subparsers(dest="command", required=True)
 

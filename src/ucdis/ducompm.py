@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -182,15 +181,15 @@ _EDGE_MARGIN = 2.0**-40
 
 
 def _lines(e: Ellipsoid, n: int, k: int, cap: int):
-    """Fincke-Pohst walk: the region's types as integer lines, one per prefix.
+    """Fincke-Pohst walk: the region's types as runs on integer lines.
 
-    Yields ``(prefix, rest, lo, lo_in, hi_in, hi)`` in ascending
-    lexicographic order of ``prefix`` (the first k - 2 counts).  On the line
-    ``prefix + (t, rest - t)``, no type with t outside [lo, hi] lies in the
-    region, every type with lo_in <= t <= hi_in does (``_qform`` is at most
-    the threshold), and the rest must be tested; an empty inner range has
-    lo_in = hi + 1, hi_in = hi.  Raises ResourceLimitError once the walk has
-    visited more than ``cap`` lattice points.
+    Yields ``(prefix, rest, t0, t1)``: every type ``prefix + (t, rest - t)``
+    with t0 <= t <= t1 lies in the region, and each type of it in one run, in
+    ascending lexicographic order.  On each line (one per prefix, the first
+    k - 2 counts) float bounds put every point of [lo_in, hi_in] inside and
+    every point off [lo, hi] outside; the rare edge points between them pass
+    only if ``_qform <= chi2_threshold`` and come as runs of one.  Raises
+    ResourceLimitError once the walk has visited more than ``cap`` points.
     """
     d = k - 1
     c = e._center_free
@@ -244,7 +243,16 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
                 hi_in = min(hi, math.floor(mid + half))
                 if lo_in > hi_in:
                     lo_in, hi_in = hi + 1, hi
-            yield prefix, rest, lo, lo_in, hi_in, hi
+            if lo < lo_in:
+                for t in range(lo, lo_in):
+                    if _qform(e, prefix + (t, rest - t), n) <= thr:
+                        yield prefix, rest, t, t
+            if lo_in <= hi_in:
+                yield prefix, rest, lo_in, hi_in
+            if hi_in < hi:
+                for t in range(hi_in + 1, hi + 1):
+                    if _qform(e, prefix + (t, rest - t), n) <= thr:
+                        yield prefix, rest, t, t
             return
         for t in range(lo, hi + 1):
             x = t / n
@@ -264,29 +272,17 @@ def enumerate_types_in_ellipsoid(
     Raises ResourceLimitError if the walk visits more than ``cap`` lattice
     points.
     """
-    thr = e.chi2_threshold
-    out: list[tuple[int, ...]] = []
-    for prefix, rest, lo, lo_in, hi_in, hi in _lines(e, n, k, cap):
-        for t in range(lo, hi + 1):
-            typ = prefix + (t, rest - t)
-            if lo_in <= t <= hi_in or _qform(e, typ, n) <= thr:
-                out.append(typ)
-    return out
+    return [prefix + (t, rest - t)
+            for prefix, rest, t0, t1 in _lines(e, n, k, cap)
+            for t in range(t0, t1 + 1)]
 
 
 def count_types_in_ellipsoid(
     e: Ellipsoid, n: int, k: int, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> int:
     """``len(enumerate_types_in_ellipsoid(e, n, k, cap))`` without the list:
-    whole inner lines are added up and only their edge points are tested."""
-    thr = e.chi2_threshold
-    total = 0
-    for prefix, rest, lo, lo_in, hi_in, hi in _lines(e, n, k, cap):
-        total += hi_in - lo_in + 1
-        for t in chain(range(lo, lo_in), range(hi_in + 1, hi + 1)):
-            if _qform(e, prefix + (t, rest - t), n) <= thr:
-                total += 1
-    return total
+    the walker's runs are added up."""
+    return sum(t1 - t0 + 1 for _, _, t0, t1 in _lines(e, n, k, cap))
 
 
 # Points per numpy block in decode's hash filter: decode memory is O(_BLOCK),
@@ -301,18 +297,16 @@ def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
     with ``universal_hash(t, seed, b) == h``, where ``mult`` holds the seed's
     multipliers, but no candidate list is built.  The hash sum is linear mod
     2^61 - 1, so on the walker's line ``prefix + (t, rest - t)`` it is ``base +
-    t * (mult[k-2] - mult[k-1])``.  The lines are cut into segments packed into
-    blocks of ``_BLOCK`` points (a long line spans blocks), each block's sums
-    and mixes run as uint64 arrays, and only the hash hits are tested for
-    membership, with the same rule as the enumeration.
+    t * (mult[k-2] - mult[k-1])``.  The walker's runs, all inside the region,
+    are cut into segments packed into blocks of ``_BLOCK`` points (a long run
+    spans blocks), and each block's sums and mixes run as uint64 arrays.
     """
     p = MERSENNE61
     step = (mult[k - 2] - mult[k - 1]) % p
     p64, mask, want = np.uint64(p), np.uint64((1 << b) - 1), np.uint64(h)
     steps = np.zeros(1, dtype=np.uint64)  # steps[j] = j * step mod p
-    thr = e.chi2_threshold
     hits: list[tuple[int, ...]] = []
-    segs: list = []  # (t0, length, hash sum at t0, line) per segment of the block
+    segs: list = []  # (t0, length, hash sum at t0, prefix, rest) per segment
 
     def flush():
         nonlocal steps
@@ -327,20 +321,17 @@ def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
         idx = np.flatnonzero((mix64_array(acc) & mask) == want)
         seg = np.searchsorted(starts, idx, side="right") - 1
         for i, s in zip(idx.tolist(), seg.tolist()):
-            t0, _, _, (prefix, rest, _, lo_in, hi_in, _) = segs[s]
+            t0, _, _, prefix, rest = segs[s]
             t = t0 + i - int(starts[s])
-            typ = prefix + (t, rest - t)
-            if lo_in <= t <= hi_in or _qform(e, typ, n) <= thr:
-                hits.append(typ)
+            hits.append(prefix + (t, rest - t))
         segs.clear()
 
     room = _BLOCK
-    for line in _lines(e, n, k, cap):
-        prefix, rest, t0, _, _, hi = line
+    for prefix, rest, t0, t1 in _lines(e, n, k, cap):
         base = (sum(map(mul, mult, prefix)) + mult[k - 1] * rest) % p
-        while t0 <= hi:
-            length = min(hi - t0 + 1, room)
-            segs.append((t0, length, (base + step * t0) % p, line))
+        while t0 <= t1:
+            length = min(t1 - t0 + 1, room)
+            segs.append((t0, length, (base + step * t0) % p, prefix, rest))
             t0 += length
             room -= length
             if not room:
@@ -372,16 +363,7 @@ def universal_hash(t, seed: int, b: int) -> int:
     return mix64(acc) & ((1 << b) - 1)
 
 
-def hash_length(
-    x,
-    n: int,
-    m: int,
-    p_e: float,
-    k: int,
-    inflation: float = DEFAULT_INFLATION,
-    collision_budget: float | None = None,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> int:
+def hash_length(x, config: DucompmConfig) -> int:
     """Hash width chosen by the encoder without seeing the memory sequence.
 
     The encoder builds a surrogate ellipsoid centered at its own smoothed
@@ -391,13 +373,12 @@ def hash_length(
     center mismatch against the decoder's ellipsoid) while a wrong candidate
     survives the hash with probability at most the budget.
     """
-    x = _validate_sequence(x, k)
-    if x.size != n:
-        raise ValueError(f"sequence length {x.size} != n={n}")
-    budget = p_e if collision_budget is None else collision_budget
-    surrogate = _ellipsoid(x, n, m, p_e, k)
-    n_hat = max(1, count_types_in_ellipsoid(surrogate, n, k, cap=candidate_cap))
-    b = max(1, math.ceil(math.log2(inflation * n_hat / budget)))
+    x = _validate_sequence(x, config.k)
+    n = x.size
+    budget = config.p_e if config.collision_budget is None else config.collision_budget
+    surrogate = _ellipsoid(x, n, config.m, config.p_e, config.k)
+    n_hat = max(1, count_types_in_ellipsoid(surrogate, n, config.k, cap=config.candidate_cap))
+    b = max(1, math.ceil(math.log2(config.inflation * n_hat / budget)))
     if b > 64:
         raise ValueError(
             f"required hash width {b} exceeds 64 bits "
@@ -514,16 +495,7 @@ def encode_ducompm(x, config: DucompmConfig) -> DCodeword:
     if n < 1:
         raise ValueError("cannot encode an empty sequence")
     counts = np.bincount(x, minlength=config.k)
-    b = hash_length(
-        x,
-        n,
-        config.m,
-        config.p_e,
-        config.k,
-        inflation=config.inflation,
-        collision_budget=config.collision_budget,
-        candidate_cap=config.candidate_cap,
-    )
+    b = hash_length(x, config)
     size = multinomial_count(counts)
     return DCodeword(
         n=n,

@@ -158,6 +158,15 @@ class TestDucompmBound:
         b = bounds.redundancy_ducompm(MEM4, 100, 400, 1.0, "approx")
         assert b.total_bits == pytest.approx(bounds.redundancy_ucompm(3, 100, 400).total_bits)
 
+    @pytest.mark.parametrize("p_e", [0.0, 0.1, 1.0])
+    def test_memory_length_checked_at_every_pe(self, p_e):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            bounds.redundancy_ducompm(MEM4, 100, 0, p_e)
+
+    def test_nan_pe_rejected(self):
+        with pytest.raises(ValueError, match=r"p_e must lie in \[0,1\]"):
+            bounds.redundancy_ducompm(MEM4, 100, 400, math.nan)
+
     def test_modes(self):
         approx = bounds.redundancy_ducompm(MEM256, 512, 32768, 1e-6, "approx").total_bits
         exact = bounds.redundancy_ducompm(MEM256, 512, 32768, 1e-6, "exact").total_bits

@@ -57,6 +57,22 @@ class TestBounds:
         doc = json.loads(err)
         assert doc["error"]["code"] == 1
 
+    def test_abbreviated_json_flag_rejected(self, capsys):
+        # an abbreviation of --json would switch the parse to JSON mode while
+        # the error printer looks for the literal flag
+        code, _, err = run_cli(capsys, "--js", "bounds", "--n", "5", "--strategy", "ucompm")
+        assert code == 1
+        assert err == "error: unrecognized arguments: --js\n"
+        code, out, _ = run_cli(capsys, "bounds", "--n", "5", "--m", "5", "--pe", "0.1",
+                               "--strategy", "ducompm", "--mod", "exact")
+        assert code == 0 and json.loads(out)["mode"] == "exact"
+
+    def test_ducompm_memory_length_checked_at_zero_pe(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--strategy", "ducompm", "--pe", "0",
+                                 "--m", "-5", "--n", "5")
+        assert code == 1 and out == ""
+        assert "m must be >= 1" in err
+
 
 class TestFigure:
     def test_fig2_csv(self, capsys, tmp_path):

@@ -382,20 +382,21 @@ class TestDecodeAgainstListing:
 class TestHashLength:
     def test_single_candidate_floor(self):
         # n=1 with a huge memory: the surrogate ellipsoid holds one type
-        b = hash_length(np.array([0]), 1, 10**6, 0.5, 2)
+        b = hash_length(np.array([0]), DucompmConfig(k=2, m=10**6, p_e=0.5))
         assert b == 1
 
     def test_monotone_in_memory_length(self):
         x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
         prev = 65
         for m in (300, 1000, 3000, 30_000, 300_000):
-            b = hash_length(x, 300, m, 0.05, 3)
+            b = hash_length(x, DucompmConfig(k=3, m=m, p_e=0.05))
             assert b <= prev
             prev = b
 
     def test_width_grows_with_confidence(self):
         x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
-        assert hash_length(x, 300, 3000, 0.001, 3) > hash_length(x, 300, 3000, 0.1, 3)
+        assert (hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.001))
+                > hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.1)))
 
 
 class TestRanking:

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ucdis
 import ucdis.cli  # not imported by the package; the tracer wraps its commands
 
@@ -47,14 +49,19 @@ def test_hook_names_exist():
     assert callable(ucdis.sources.SourceFamily)
 
 
-def test_traced_benchmark_smoke_run():
+@pytest.mark.parametrize("workload, names", [
+    ("lossless-files", ("codec.kt_model_pass_s", "codec.kt_locate_pass_s", "codec.prime_s")),
+    ("ducompm-lattice", ("ducompm.hash_length_s", "ducompm.build_ellipsoid_s",
+                         "ducompm.hash_filter_s", "ducompm.hash_bits")),
+])
+def test_traced_benchmark_smoke_run(workload, names):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "lossless-files", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
-    for name in ("codec.kt_model_pass_s", "codec.kt_locate_pass_s", "codec.prime_s"):
+    for name in names:
         assert result["metrics"][name]["value"] > 0, name
