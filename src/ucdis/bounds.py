@@ -50,6 +50,11 @@ class RedundancyBreakdown:
         return self.total_bits / self.n
 
 
+def _check_mode(mode: str):
+    if mode not in ("approx", "exact"):
+        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+
+
 _OMITTED_N = "O(1/n) remainder omitted"
 _OMITTED_NM = "O(1/m + 1/n) remainder omitted"
 _MARKOV_NOTE = "markov1 Jeffreys integral uses the per-row factorization approximation"
@@ -137,13 +142,6 @@ def penalty_approx(d: int, p_e: float) -> float:
     return 0.5 * d * math.log2(1.0 + (2.0 / (d * LOG2E)) * math.log2(1.0 / p_e))
 
 
-def penalty_simplified(p_e: float) -> float:
-    """Small-p_e, large-d simplification of the penalty: log2(1/p_e)."""
-    if not (0.0 < p_e <= 1.0):
-        raise ValueError(f"p_e must lie in (0,1], got {p_e}")
-    return math.log2(1.0 / p_e)
-
-
 def penalty_exact(d: int, p_e: float) -> float:
     """Penalty with the exact radius: (d/2) log2(2 delta_d(p_e) / (d log2 e)).
 
@@ -161,8 +159,7 @@ def redundancy_ducompm(
 
     ``mode`` selects penalty_approx ("approx") or penalty_exact ("exact").
     """
-    if mode not in ("approx", "exact"):
-        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    _check_mode(mode)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not (0.0 <= p_e <= 1.0):
@@ -205,6 +202,7 @@ def ellipsoid_measure(
     r = n m / (n + m), evaluated in the log domain.  The formula is
     asymptotic; values above 1 are returned with a warning.
     """
+    _check_mode(mode)
     if n < 1 or m < 1:
         raise ValueError(f"ellipsoid_measure requires n, m >= 1, got n={n}, m={m}")
     d = family.d
@@ -260,8 +258,7 @@ def figure_preset(name: str, mode: str = "approx") -> FigureTable:
     """Four-curve redundancy-rate table over ten octaves of n."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}")
-    if mode not in ("approx", "exact"):
-        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    _check_mode(mode)
     family, m, n0 = _PRESETS[name]
     ns = tuple(n0 * 2**j for j in range(10))
     d = family.d

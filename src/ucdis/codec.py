@@ -15,13 +15,11 @@ counts on both sides.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LN2
 from .sources import MARKOV1, MEMORYLESS, SourceFamily, _validate_sequence, context_counts
 
 _STATE_BITS = 64
@@ -204,43 +202,6 @@ class KTCoderModel:
             self._counts = self._rows[symbol]
 
 
-class FixedModel:
-    """Non-adaptive integer-frequency model (known-parameter coding, tests)."""
-
-    __slots__ = ("freqs", "cum")
-
-    def __init__(self, freqs):
-        self.freqs = [int(f) for f in freqs]
-        if any(f < 0 for f in self.freqs) or sum(self.freqs) < 1:
-            raise ValueError("frequencies must be nonnegative with positive total")
-        self.cum = [0]
-        for f in self.freqs:
-            self.cum.append(self.cum[-1] + f)
-
-    def total(self) -> int:
-        return self.cum[-1]
-
-    def interval(self, symbol: int) -> tuple[int, int]:
-        lo, hi = self.cum[symbol], self.cum[symbol + 1]
-        if lo == hi:
-            raise ValueError(f"symbol {symbol} has zero frequency")
-        return lo, hi
-
-    def locate(self, target: int) -> tuple[int, int, int]:
-        # binary search for the interval containing target
-        lo, hi = 0, len(self.freqs)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.cum[mid] <= target:
-                lo = mid
-            else:
-                hi = mid
-        return lo, self.cum[lo], self.cum[lo + 1]
-
-    def advance(self, symbol: int):
-        pass
-
-
 def ac_encode(model, symbols) -> BitStream:
     """Arithmetic-encode ``symbols`` against a sequential integer-frequency model.
 
@@ -370,29 +331,6 @@ def encode_ucompm(family: SourceFamily, y, x) -> BitStream:
 def decode_ucompm(family: SourceFamily, y, bits: BitStream, n: int) -> np.ndarray:
     y = _validate_sequence(y, family.k)
     return np.array(ac_decode(_primed_state(family, y), bits, n), dtype=np.int64)
-
-
-def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
-    """Ideal KT codelength -log2 prod (c+1/2)/(N+k/2), via gamma identities.
-
-    With ``memory`` the product is taken with counts primed by the memory
-    sequence, matching encode_ucompm's model.
-    """
-    k = family.k
-    cx = context_counts(family, x, initial_context=0)
-    base = np.zeros_like(cx) if memory is None else context_counts(family, memory, initial_context=0)
-    nats = 0.0
-    for ctx in range(cx.shape[0]):
-        n0 = int(base[ctx].sum())
-        n1 = int(cx[ctx].sum())
-        if n1 == 0:
-            continue
-        nats += math.lgamma(n0 + 0.5 * k) - math.lgamma(n0 + n1 + 0.5 * k)
-        for a in range(k):
-            c0, c1 = int(base[ctx][a]), int(cx[ctx][a])
-            if c1:
-                nats += math.lgamma(c0 + c1 + 0.5) - math.lgamma(c0 + 0.5)
-    return -nats / LN2
 
 
 # --- container format -------------------------------------------------------

@@ -24,7 +24,6 @@ from operator import mul
 
 import numpy as np
 
-from .bounds import delta_d
 from .codec import BitReader, BitStream, BitWriter, FramingError
 from .numerics import chi2_quantile_upper
 from .rng import GOLDEN, MASK64, mix64, mix64_array
@@ -79,19 +78,15 @@ class Ellipsoid:
     ``center`` is the smoothed (strictly interior) estimate from the observed
     sequence, ``fisher`` the natural-units per-symbol Fisher matrix at the
     center over the free coordinates, r = n m / (n + m), and q the
-    chi-square_d quantile at 1 - p_e.  ``radius_bits`` is the same threshold
-    expressed in bits, q * log2(e) / 2.
+    chi-square_d quantile at 1 - p_e.
     """
 
-    __slots__ = ("center", "r", "fisher", "radius_bits", "chi2_threshold",
-                 "_a_rows", "_center_free", "_d")
+    __slots__ = ("center", "r", "fisher", "chi2_threshold", "_a_rows", "_center_free", "_d")
 
-    def __init__(self, center: np.ndarray, r: float, fisher: np.ndarray,
-                 radius_bits: float, chi2_threshold: float):
+    def __init__(self, center: np.ndarray, r: float, fisher: np.ndarray, chi2_threshold: float):
         self.center = center
         self.r = r
         self.fisher = fisher
-        self.radius_bits = radius_bits
         self.chi2_threshold = chi2_threshold
         self._d = fisher.shape[0]
         self._center_free = [float(c) for c in center[: self._d]]
@@ -99,7 +94,7 @@ class Ellipsoid:
 
 
 def type_of(x, k: int) -> np.ndarray:
-    """Count vector of a sequence (its type); ml_estimate equals type/n."""
+    """Count vector of a sequence (its type)."""
     x = _validate_sequence(x, k)
     return np.bincount(x, minlength=k)
 
@@ -110,13 +105,11 @@ def _ellipsoid(seq, n: int, m: int, p_e: float, k: int) -> Ellipsoid:
     # matrix there, r = n m / (n + m), chi-square_(k-1) quantile at 1 - p_e
     family = SourceFamily("memoryless", k)
     center = smoothed_estimate(family, seq)
-    d = k - 1
     return Ellipsoid(
         center=center,
         r=n * m / (n + m),
         fisher=fisher_info(family, center),
-        radius_bits=delta_d(d, p_e),
-        chi2_threshold=chi2_quantile_upper(d, p_e),
+        chi2_threshold=chi2_quantile_upper(k - 1, p_e),
     )
 
 
@@ -449,7 +442,6 @@ class DCodeword:
     rank; the u16 width field is framing and excluded from rate accounting.
     """
 
-    n: int
     b: int
     hash_value: int
     rank: int
@@ -491,14 +483,12 @@ class DecodeOutcome:
 def encode_ducompm(x, config: DucompmConfig) -> DCodeword:
     """Encode x using only its own statistics and the known memory length."""
     x = _validate_sequence(x, config.k)
-    n = x.size
-    if n < 1:
+    if x.size < 1:
         raise ValueError("cannot encode an empty sequence")
     counts = np.bincount(x, minlength=config.k)
     b = hash_length(x, config)
     size = multinomial_count(counts)
     return DCodeword(
-        n=n,
         b=b,
         hash_value=universal_hash(counts, config.hash_seed, b),
         rank=type_rank(x, config.k),

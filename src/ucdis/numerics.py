@@ -1,15 +1,14 @@
-"""Special functions and combinatorial log-sizes behind the redundancy formulas.
+"""Special functions behind the redundancy formulas.
 
 Internal math is carried in natural-log units; results measured in bits are
 converted once at the API boundary.  Only the real-argument cases needed by the
-bounds engine are covered (gamma tails, chi-square quantiles, unit-ball
-volumes, multinomial log-sizes).
+bounds engine are covered (gamma tails, chi-square quantiles, log2 unit-ball
+volumes).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from scipy.special import gammaincc, ndtri
 
@@ -17,13 +16,6 @@ LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
 
 _QUANTILE_MAX_ITER = 200
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def reg_gamma_upper(s: float, x: float) -> float:
@@ -92,37 +84,8 @@ def chi2_quantile_upper(d: int, p_upper: float) -> float:
     return t
 
 
-def chi2_quantile(d: int, q: float) -> float:
-    """Point t with P(chi2_d <= t) = q, for q in (0, 1)."""
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"quantile probability must lie in (0,1), got {q}")
-    return chi2_quantile_upper(d, 1.0 - q)
-
-
 def log2_unit_ball_volume(d: int) -> float:
     """log2 of the d-dimensional unit-ball volume pi^(d/2) / Gamma(d/2 + 1)."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)) * LOG2E
-
-
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ball in d dimensions (underflows for d >~ 700)."""
-    return 2.0 ** log2_unit_ball_volume(d)
-
-
-def log_multinomial(counts: Sequence[int]) -> float:
-    """log2 of n! / prod(c_i!) for the count vector ``counts``.
-
-    This is the log-size of the type class with those symbol counts.
-    """
-    counts = list(counts)
-    if not counts:
-        raise ValueError("counts must be nonempty")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts}")
-    n = sum(counts)
-    s = math.lgamma(n + 1.0)
-    for c in counts:
-        s -= math.lgamma(c + 1.0)
-    return s * LOG2E

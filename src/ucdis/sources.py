@@ -4,7 +4,7 @@ Two families are supported: memoryless categorical sources over an alphabet of
 size k (parameter dimension d = k - 1) and first-order Markov chains
 (d = k * (k - 1)).  Parameter vectors are numpy arrays: a length-k probability
 vector for memoryless sources, a k-by-k row-stochastic matrix for Markov ones.
-All entropies, divergences and redundancies are measured in bits.
+All entropies and redundancies are measured in bits.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG2E, log_gamma
+from .numerics import LOG2E
 from .rng import generator, split_seed
 
 MEMORYLESS = "memoryless"
@@ -60,11 +60,13 @@ def markov1(k: int) -> SourceFamily:
 
 
 def validate_theta(family: SourceFamily, theta) -> np.ndarray:
-    """Check shape, nonnegativity and row sums; returns theta as an array."""
+    """Check shape, finiteness, nonnegativity and row sums; returns theta as an array."""
     theta = np.asarray(theta, dtype=np.float64)
     expected = (family.k,) if family.kind == MEMORYLESS else (family.k, family.k)
     if theta.shape != expected:
         raise ValueError(f"theta shape {theta.shape} does not match family {expected}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta entries must be finite")
     if np.any(theta < 0):
         raise ValueError("theta entries must be nonnegative")
     sums = theta.sum() if theta.ndim == 1 else theta.sum(axis=1)
@@ -159,53 +161,12 @@ def context_counts(family: SourceFamily, seq, initial_context: int | None = None
     return np.bincount(prev * k + cur, minlength=k * k).reshape(k, k)
 
 
-def ml_estimate(family: SourceFamily, x) -> np.ndarray:
-    """Maximum-likelihood parameter: empirical frequencies (may sit on the boundary)."""
-    x = _validate_sequence(x, family.k)
-    if x.size == 0:
-        raise ValueError("ml_estimate requires a nonempty sequence")
-    counts = context_counts(family, x)
-    if family.kind == MEMORYLESS:
-        return counts[0] / x.size
-    rows = counts.sum(axis=1, keepdims=True)
-    return np.where(rows > 0, counts / np.where(rows > 0, rows, 1.0), 1.0 / family.k)
-
-
 def smoothed_estimate(family: SourceFamily, x) -> np.ndarray:
     """Posterior-mean estimate (c + 1/2) / (n + k/2); strictly interior, n = 0 allowed."""
     counts = context_counts(family, x)
     rows = counts.sum(axis=1, keepdims=True)
     out = (counts + 0.5) / (rows + 0.5 * family.k)
     return out[0] if family.kind == MEMORYLESS else out
-
-
-def kl_divergence_rate(family: SourceFamily, lam, theta) -> float:
-    """Per-symbol divergence sum_i theta_i log2(theta_i / lambda_i), in bits.
-
-    Returns inf when theta puts mass where lambda has none.  For Markov
-    chains the per-row divergences are weighted by theta's stationary law.
-    """
-    lam = validate_theta(family, lam)
-    theta = validate_theta(family, theta)
-
-    def row_kl(t, l):
-        mask = t > 0
-        if np.any(l[mask] == 0):
-            return math.inf
-        return float((t[mask] * np.log2(t[mask] / l[mask])).sum())
-
-    if family.kind == MEMORYLESS:
-        return row_kl(theta, lam)
-    pi = stationary_distribution(theta)
-    total = 0.0
-    for s in range(family.k):
-        if pi[s] == 0:
-            continue
-        r = row_kl(theta[s], lam[s])
-        if math.isinf(r):
-            return math.inf
-        total += pi[s] * r
-    return total
 
 
 def _fisher_simplex(theta_row: np.ndarray) -> np.ndarray:
@@ -246,7 +207,7 @@ def log_jeffreys_integral(family: SourceFamily) -> float:
     Markov: k times the single-row value (per-row factorization approximation).
     """
     k = family.k
-    row = (0.5 * k * math.log(math.pi) - log_gamma(0.5 * k)) * LOG2E
+    row = (0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k)) * LOG2E
     if family.kind == MEMORYLESS:
         return row
     return k * row

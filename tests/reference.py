@@ -1,0 +1,72 @@
+"""Reference models the tests compare the codec against.
+
+``FixedModel`` is a non-adaptive integer-frequency model with the coder's
+model interface (known-parameter coding); ``ideal_kt_bits`` is the ideal KT
+codelength that the arithmetic coder's output must stay within 2 bits of.
+"""
+
+import math
+
+import numpy as np
+
+from ucdis.sources import SourceFamily, context_counts
+
+
+class FixedModel:
+    """Non-adaptive integer-frequency model (known-parameter coding)."""
+
+    __slots__ = ("freqs", "cum")
+
+    def __init__(self, freqs):
+        self.freqs = [int(f) for f in freqs]
+        if any(f < 0 for f in self.freqs) or sum(self.freqs) < 1:
+            raise ValueError("frequencies must be nonnegative with positive total")
+        self.cum = [0]
+        for f in self.freqs:
+            self.cum.append(self.cum[-1] + f)
+
+    def total(self) -> int:
+        return self.cum[-1]
+
+    def interval(self, symbol: int) -> tuple[int, int]:
+        lo, hi = self.cum[symbol], self.cum[symbol + 1]
+        if lo == hi:
+            raise ValueError(f"symbol {symbol} has zero frequency")
+        return lo, hi
+
+    def locate(self, target: int) -> tuple[int, int, int]:
+        # binary search for the interval containing target
+        lo, hi = 0, len(self.freqs)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.cum[mid] <= target:
+                lo = mid
+            else:
+                hi = mid
+        return lo, self.cum[lo], self.cum[lo + 1]
+
+    def advance(self, symbol: int):
+        pass
+
+
+def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
+    """Ideal KT codelength -log2 prod (c+1/2)/(N+k/2), via gamma identities.
+
+    With ``memory`` the product is taken with counts primed by the memory
+    sequence, matching encode_ucompm's model.
+    """
+    k = family.k
+    cx = context_counts(family, x, initial_context=0)
+    base = np.zeros_like(cx) if memory is None else context_counts(family, memory, initial_context=0)
+    nats = 0.0
+    for ctx in range(cx.shape[0]):
+        n0 = int(base[ctx].sum())
+        n1 = int(cx[ctx].sum())
+        if n1 == 0:
+            continue
+        nats += math.lgamma(n0 + 0.5 * k) - math.lgamma(n0 + n1 + 0.5 * k)
+        for a in range(k):
+            c0, c1 = int(base[ctx][a]), int(cx[ctx][a])
+            if c1:
+                nats += math.lgamma(c0 + c1 + 0.5) - math.lgamma(c0 + 0.5)
+    return -nats / math.log(2.0)

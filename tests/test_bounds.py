@@ -138,7 +138,6 @@ class TestPenalty:
                 if lg > d / 100:
                     continue
                 assert abs(bounds.penalty_approx(d, p_e) - lg) / lg <= 0.1
-        assert bounds.penalty_simplified(1e-6) == pytest.approx(math.log2(1e6))
 
 
 class TestDucompmBound:
@@ -193,6 +192,10 @@ class TestEllipsoidMeasure:
         with pytest.warns(UserWarning):
             ps = bounds.ellipsoid_measure(MEM2, 1, 1, 1e-6, "exact")
         assert ps > 1.0
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be 'approx' or 'exact', got 'exat'"):
+            bounds.ellipsoid_measure(MEM2, 1000, 1000, 0.01, "exat")
 
 
 class TestFigurePresets:

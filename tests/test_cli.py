@@ -337,8 +337,9 @@ class TestExperimentCli:
         (dict(theta=0.5), "theta"),
         (dict(trials=2.5), "trials"),
         (dict(n=20.0), "n"),
+        (dict(theta_mode="fixed", theta=[float("nan"), 0.5]), "theta"),
     ], ids=["ucompm-m0", "ucomp-n1", "inflation-half", "inflation-inf", "budget-2",
-            "strategies-int", "theta-scalar", "trials-float", "n-float"])
+            "strategies-int", "theta-scalar", "trials-float", "n-float", "theta-nan"])
     def test_config_rejected_before_any_trial(self, capsys, tmp_path, monkeypatch, overrides,
                                                field):
         def no_trial(*args):

@@ -14,16 +14,16 @@ from ucdis import codec
 from ucdis.codec import (
     BitStream,
     Container,
-    FixedModel,
     FramingError,
     KTCoderModel,
     ac_decode,
     ac_encode,
-    ideal_kt_bits,
     pack_container,
     unpack_container,
 )
 from ucdis.sources import MARKOV1, MEMORYLESS, SourceFamily, markov1, memoryless, sample_sequence
+
+from reference import FixedModel, ideal_kt_bits
 
 MEM2 = memoryless(2)
 MEM4 = memoryless(4)

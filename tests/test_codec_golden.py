@@ -21,6 +21,8 @@ from ucdis import codec
 from ucdis.rng import split_seed
 from ucdis.sources import SourceFamily, sample_jeffreys, sample_sequence
 
+from reference import FixedModel
+
 FIXTURE = Path(__file__).parent / "data" / "codec_golden.json"
 
 SIZES = {2: 3000, 3: 2000, 16: 1500, 256: 1500}
@@ -68,7 +70,7 @@ def inputs(strategy, kind, k, n, m, theta, seed):
 
 def encode(strategy, fam, y, x) -> codec.BitStream:
     if strategy == "fixed":
-        return codec.ac_encode(codec.FixedModel([1, 2, 1]), x.tolist())
+        return codec.ac_encode(FixedModel([1, 2, 1]), x.tolist())
     if strategy == "ucomp":
         return codec.encode_ucomp(fam, x)
     return codec.encode_ucompm(fam, y, x)
@@ -76,7 +78,7 @@ def encode(strategy, fam, y, x) -> codec.BitStream:
 
 def decode(strategy, fam, y, bits, n):
     if strategy == "fixed":
-        return np.array(codec.ac_decode(codec.FixedModel([1, 2, 1]), bits, n))
+        return np.array(codec.ac_decode(FixedModel([1, 2, 1]), bits, n))
     if strategy == "ucomp":
         return codec.decode_ucomp(fam, bits, n)
     return codec.decode_ucompm(fam, y, bits, n)

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucdis import codec
-from ucdis.codec import BitStream, BitReader, BitWriter, FixedModel, KTCoderModel
+from ucdis.codec import BitStream, BitReader, BitWriter, KTCoderModel
 from ucdis.sources import SourceFamily
+
+from reference import FixedModel
 
 _MASK = (1 << 64) - 1
 _TOP = 1 << 63

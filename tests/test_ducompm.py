@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucdis import ducompm, harness
+from ucdis.bounds import delta_d
 from ucdis.codec import BitReader, BitStream
 from ucdis.ducompm import (
     MERSENNE61,
@@ -35,7 +36,7 @@ from ucdis.ducompm import (
 )
 from ucdis.numerics import chi2_quantile_upper
 from ucdis.rng import MASK64, mix64, mix64_array
-from ucdis.sources import fisher_info, memoryless, sample_sequence
+from ucdis.sources import context_counts, fisher_info, memoryless, sample_sequence
 
 MEM2 = memoryless(2)
 MEM3 = memoryless(3)
@@ -88,16 +89,25 @@ def box_scan_types(e, n, k):
     return out
 
 
+def region_types(e, n, k, on_boundary):
+    """The region's types, listed without the walker: the box scan, or, when a
+    type lies exactly on the boundary (the rounded bounding box can cut such a
+    type off at the box's extreme), every type filtered by the exact form."""
+    if on_boundary:
+        return [t for t in all_types(n, k) if _qform(e, t, n) <= e.chi2_threshold]
+    return box_scan_types(e, n, k)
+
+
 class TestTypeOf:
     def test_examples(self):
         assert type_of([0, 1, 1, 0, 1], 2).tolist() == [2, 3]
         assert type_of([], 3).tolist() == [0, 0, 0]
 
     def test_matches_ml_estimate(self):
+        # the memoryless ML estimate is the one context row of counts over n,
+        # so the type is that row
         x = np.array([0, 2, 2, 1, 0, 0])
-        from ucdis.sources import ml_estimate
-
-        assert np.allclose(type_of(x, 3) / x.size, ml_estimate(MEM3, x))
+        assert type_of(x, 3).tolist() == context_counts(MEM3, x)[0].tolist()
 
 
 class TestEllipsoid:
@@ -118,9 +128,10 @@ class TestEllipsoid:
         assert not ellipsoid_contains(e, [600, 400], 1000)
 
     def test_radius_bits_and_threshold_consistent(self):
+        # the threshold in bits is the bounds engine's radius delta_d
         y = sample_sequence(MEM3, [0.3, 0.4, 0.3], 600, seed=9)
         e = build_ellipsoid(y, 400, 0.05, 3)
-        assert 2.0 * e.radius_bits / math.log2(math.e) == pytest.approx(e.chi2_threshold, rel=1e-12)
+        assert 2.0 * delta_d(2, 0.05) / math.log2(math.e) == pytest.approx(e.chi2_threshold, rel=1e-12)
 
     def test_center_interior_for_constant_memory(self):
         e = build_ellipsoid(np.zeros(200, dtype=int), 100, 0.1, 2)
@@ -134,12 +145,12 @@ class TestEllipsoid:
 
     def test_center_point_always_inside(self):
         center = np.array([0.3, 0.7])
-        e = Ellipsoid(center, 100.0, fisher_info(MEM2, center), 1.0, 1e-4)
+        e = Ellipsoid(center, 100.0, fisher_info(MEM2, center), 1e-4)
         assert ellipsoid_contains(e, [30, 70], 100)
 
     def test_infinite_radius_accepts_all(self):
         center = np.array([0.5, 0.3, 0.2])
-        e = Ellipsoid(center, 50.0, fisher_info(MEM3, center), 1e9, 1e18)
+        e = Ellipsoid(center, 50.0, fisher_info(MEM3, center), 1e18)
         types = enumerate_types_in_ellipsoid(e, 20, 3)
         assert types == all_types(20, 3)
 
@@ -169,7 +180,6 @@ class TestEnumeration:
                 center,
                 float(rng.uniform(5.0, 400.0)),
                 fisher_info(fam, center),
-                0.0,
                 scale * chi2_quantile_upper(k - 1, 0.1),
             )
             fast = enumerate_types_in_ellipsoid(e, n, k)
@@ -222,7 +232,7 @@ def ellipsoids(draw):
     center /= center.sum()
     r = 10 ** draw(st.floats(0.0, 4.0))
     scale = 10 ** draw(st.floats(-1.5, 1.0))
-    e = Ellipsoid(center, r, fisher_info(memoryless(k), center), 0.0,
+    e = Ellipsoid(center, r, fisher_info(memoryless(k), center),
                   scale * chi2_quantile_upper(k - 1, 0.1))
     on_boundary = draw(st.booleans())
     if on_boundary:
@@ -236,14 +246,7 @@ class TestWalkerAgainstBoxScan:
     @given(ellipsoids())
     def test_same_types_same_order(self, case):
         e, n, k, on_boundary = case
-        if on_boundary:
-            # the box scan's bounding box, rounded, can cut off a type that
-            # lies on the boundary at the box's extreme; all types filtered by
-            # the exact form is the definition
-            want = [t for t in all_types(n, k) if _qform(e, t, n) <= e.chi2_threshold]
-        else:
-            want = box_scan_types(e, n, k)
-        assert enumerate_types_in_ellipsoid(e, n, k) == want
+        assert enumerate_types_in_ellipsoid(e, n, k) == region_types(e, n, k, on_boundary)
 
     @settings(max_examples=300)
     @given(ellipsoids())
@@ -290,8 +293,8 @@ class TestUniversalHash:
         assert 0.99 <= changed / 20_000 <= 1.0
 
 
-def listing_decode(payload, e, n, cfg):
-    """Reference decoder: list every type in the region, hash each with the
+def listing_decode(payload, types, cfg):
+    """Reference decoder: hash each of the region's listed ``types`` with the
     scalar universal_hash, then apply the width and range filters."""
     r = BitReader(payload)
     b = r.read_uint(16)
@@ -299,7 +302,7 @@ def listing_decode(payload, e, n, cfg):
     rank_field_bits = payload.bit_length - 16 - b
     rank = r.read_uint(rank_field_bits)
     survivors = []
-    for t in enumerate_types_in_ellipsoid(e, n, cfg.k, cfg.candidate_cap):
+    for t in types:
         size = multinomial_count(t)
         if (universal_hash(t, cfg.hash_seed, b) == h
                 and (size - 1).bit_length() == rank_field_bits and rank < size):
@@ -311,12 +314,13 @@ def listing_decode(payload, e, n, cfg):
 
 @st.composite
 def decode_cases(draw):
-    """(ellipsoid, n, k, hash seed, b, h, payload).  Half of the regions have
-    a type just outside their boundary, which only the exact form rejects.
-    Hash widths of 1..4 bits let several types hit; half of the payloads take
-    the rank-field width, and half of those also the hash, of a type in the
-    region or of that outside type."""
-    e, n, k, _ = draw(ellipsoids())
+    """(ellipsoid, n, k, the region's types, hash seed, b, h, payload).  The
+    types come from ``region_types``, which shares no code with the walker.
+    Half of the regions have a type just outside their boundary, which only
+    the exact form rejects.  Hash widths of 1..4 bits let several types hit;
+    half of the payloads take the rank-field width, and half of those also
+    the hash, of a type in the region or of that outside type."""
+    e, n, k, on_boundary = draw(ellipsoids())
     near = []
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -325,16 +329,16 @@ def decode_cases(draw):
     seed = draw(st.integers(0, MASK64))
     b = draw(st.integers(1, 4))
     h = draw(st.integers(0, (1 << b) - 1))
-    types = enumerate_types_in_ellipsoid(e, n, k) + near
-    if types and draw(st.booleans()):
-        t = draw(st.sampled_from(types))
+    types = region_types(e, n, k, on_boundary)
+    if types + near and draw(st.booleans()):
+        t = draw(st.sampled_from(types + near))
         width = (multinomial_count(t) - 1).bit_length()
         if draw(st.booleans()):
             h = universal_hash(t, seed, b)
     else:
         width = draw(st.integers(0, 12))
     rank = draw(st.integers(0, (1 << width) - 1))
-    return e, n, k, seed, b, h, DCodeword(n, b, h, rank, width).payload()
+    return e, n, k, types, seed, b, h, DCodeword(b, h, rank, width).payload()
 
 
 class TestDecodeAgainstListing:
@@ -342,16 +346,15 @@ class TestDecodeAgainstListing:
     @given(decode_cases(), st.sampled_from([1, 3, 7, ducompm._BLOCK]))
     def test_same_hits_same_outcome(self, case, block):
         # small blocks split the walker's lines across blocks
-        e, n, k, seed, b, h, payload = case
+        e, n, k, types, seed, b, h, payload = case
         cfg = DucompmConfig(k=k, m=1, p_e=0.1, hash_seed=seed)
         mult = ducompm._hash_multipliers(seed, k)
         with mock.patch.object(ducompm, "_BLOCK", block):
             hits = ducompm._hash_hits(e, n, k, cfg.candidate_cap, mult, b, h)
             with mock.patch.object(ducompm, "build_ellipsoid", lambda *args: e):
                 got = decode_ducompm(payload, [0], n, cfg)
-        assert hits == [t for t in enumerate_types_in_ellipsoid(e, n, k)
-                        if universal_hash(t, seed, b) == h]
-        want = listing_decode(payload, e, n, cfg)
+        assert hits == [t for t in types if universal_hash(t, seed, b) == h]
+        want = listing_decode(payload, types, cfg)
         assert got.failure_reason == want.failure_reason
         if want.ok:
             assert np.array_equal(got.sequence, want.sequence)
@@ -367,7 +370,7 @@ class TestDecodeAgainstListing:
         n, y = 10**6, [0, 1] * 5
         cfg = DucompmConfig(k=2, m=10, p_e=0.05)
         assert count_types_in_ellipsoid(build_ellipsoid(y, n, cfg.p_e, 2), n, 2) > 600_000
-        payload = DCodeword(n, b=64, hash_value=0x0123456789ABCDEF, rank=0,
+        payload = DCodeword(b=64, hash_value=0x0123456789ABCDEF, rank=0,
                             rank_bit_length=0).payload()
         tracemalloc.start()
         try:
