@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -267,8 +268,11 @@ def cmd_coverage(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    # no abbreviations at the top level, so "--json" in argv agrees with the parse
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a new namespace per call.  No abbreviations at the top level,
+    # so "--json" in argv agrees with the parse
     p = _Parser(prog="ucdis", description=__doc__, allow_abbrev=False)
     p.add_argument("--json", action="store_true", help="emit errors as JSON on stderr")
     sub = p.add_subparsers(dest="command", required=True)

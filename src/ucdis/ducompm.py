@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -170,19 +169,38 @@ def ellipsoid_contains(e: Ellipsoid, t, n: int) -> bool:
 #   16 u S on the form.
 # The sum stays below 40 d**2 u S for d >= 1; the margin 2**-40 d**2 S is 204
 # times that, which also covers the dropped O(u**2) terms.
+# The walk evaluates these quantities as float64 arrays, one element per
+# prefix, with the operations a scalar walk would use, in its order: mu_i
+# sums M_ij v_j over ascending j with one rounded multiply and one rounded
+# add per term (numpy's elementwise ufuncs round every operation and fuse
+# none), and t/n, the square, the products with n and D_i, sqrt, ceil and
+# floor are single IEEE operations.  Each array element is therefore
+# bit-identical to the scalar value the count above bounds, and the margin
+# holds as derived.
 _EDGE_MARGIN = 2.0**-40
+
+# Prefixes the walk holds at once.  Its stack keeps one chunk of at most
+# _CHUNK // d prefixes per level of the d-level walk; a prefix stores its last
+# count, that coordinate's v and its parent's row, and a chunk gathers its
+# prefixes' other counts only at the last level.  So walk memory is
+# O(_CHUNK), whatever k is.
+_CHUNK = 2**15
 
 
 def _lines(e: Ellipsoid, n: int, k: int, cap: int):
     """Fincke-Pohst walk: the region's types as runs on integer lines.
 
-    Yields ``(prefix, rest, t0, t1)``: every type ``prefix + (t, rest - t)``
-    with t0 <= t <= t1 lies in the region, and each type of it in one run, in
-    ascending lexicographic order.  On each line (one per prefix, the first
-    k - 2 counts) float bounds put every point of [lo_in, hi_in] inside and
-    every point off [lo, hi] outside; the rare edge points between them pass
-    only if ``_qform <= chi2_threshold`` and come as runs of one.  Raises
-    ResourceLimitError once the walk has visited more than ``cap`` points.
+    Yields ``(prefix, rest, t0, t1)`` arrays with one row per run: every type
+    ``(*prefix[j], t, rest[j] - t)`` with t0[j] <= t <= t1[j] lies in the
+    region, and each type of it in one run, in ascending lexicographic order
+    across the yields.  ``prefix`` is the int64 matrix of the first k - 2
+    counts.  The walk is breadth-first within a chunk of prefixes, whose
+    bounds at one level are computed as arrays, and depth-first over chunks.
+    On each line (one per prefix) float bounds put every point of [lo_in,
+    hi_in] inside and every point off [lo, hi] outside; the rare edge points
+    between them pass only if ``_qform <= chi2_threshold`` and come as runs
+    of one.  Raises ResourceLimitError once the walk has visited more than
+    ``cap`` points, checked before a level's children are made.
     """
     d = k - 1
     c = e._center_free
@@ -207,52 +225,89 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
     scale = sum(math.sqrt(e._a_rows[i][i]) * (1.0 + abs(c[i])) for i in range(d)) ** 2 + abs(thr)
     margin = _EDGE_MARGIN * d * d * scale
     outer, inner = thr + margin, thr - margin
+    size = max(1, _CHUNK // d)
+    # column j holds the chunk of prefixes of length j + 1 that the walk is
+    # in: their count t_j, v_j = t_j/n - c_j, and their parent's row in
+    # column j - 1
+    tcol: list = [None] * d
+    vcol: list = [None] * d
+    par: list = [None] * d
     visited = 0
 
-    def walk(i, prefix, v, rest, partial):
+    def walk(i, rest, partial):
+        # the chunk of prefixes of length i, which column i - 1 holds; partial
+        # sums are within the outer bound
         nonlocal visited
-        slack = outer - partial
-        if slack < 0.0:
-            return
-        mu = c[i] - sum(map(mul, mult[i], v))
+        anc = [slice(None)] * i  # anc[j]: each prefix's row in column j
+        for j in range(i - 1, 0, -1):
+            anc[j - 1] = par[j][anc[j]]
+        acc = np.zeros(rest.size)
+        for j in range(i):
+            acc = acc + mult[i][j] * vcol[j][anc[j]]
+        mu = c[i] - acc
         mid = n * mu
-        half = n * math.sqrt(slack / piv[i])
-        lo = max(0, math.ceil(mid - half))
-        hi = min(rest, math.floor(mid + half))
-        if lo > hi:
-            return
-        visited += hi - lo + 1
+        half = n * np.sqrt((outer - partial) / piv[i])
+        lo = np.maximum(np.ceil(mid - half), 0.0)
+        hi = np.minimum(np.floor(mid + half), rest)
+        cnt = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+        ends = np.add.accumulate(cnt)
+        visited += int(ends[-1])
         if visited > cap:
             raise ResourceLimitError(
                 f"ellipsoid walk visited more than candidate_cap={cap} lattice points; "
                 f"n={n}, k={k}"
             )
         if i == d - 1:
-            slack = inner - partial
-            lo_in, hi_in = hi + 1, hi
-            if slack >= 0.0:
-                half = n * math.sqrt(slack / piv[i])
-                lo_in = max(lo, math.ceil(mid - half))
-                hi_in = min(hi, math.floor(mid + half))
-                if lo_in > hi_in:
-                    lo_in, hi_in = hi + 1, hi
-            if lo < lo_in:
-                for t in range(lo, lo_in):
-                    if _qform(e, prefix + (t, rest - t), n) <= thr:
-                        yield prefix, rest, t, t
-            if lo_in <= hi_in:
-                yield prefix, rest, lo_in, hi_in
-            if hi_in < hi:
-                for t in range(hi_in + 1, hi + 1):
-                    if _qform(e, prefix + (t, rest - t), n) <= thr:
-                        yield prefix, rest, t, t
+            yield from last_level(anc, rest, partial, mid, lo, hi)
             return
-        for t in range(lo, hi + 1):
+        off = lo.astype(np.int64) - (ends - cnt)  # t = off[row] + child index
+        total = int(ends[-1])
+        for start in range(0, total, size):
+            idx = np.arange(start, min(start + size, total))
+            p = ends.searchsorted(idx, side="right")
+            t = off[p] + idx
             x = t / n
-            yield from walk(i + 1, prefix + (t,), v + [x - c[i]], rest - t,
-                            partial + piv[i] * (x - mu) ** 2)
+            dx = x - mu[p]
+            part = partial[p] + piv[i] * (dx * dx)
+            live = (outer - part >= 0.0).nonzero()[0]
+            if live.size < idx.size:
+                p, t, x, part = p[live], t[live], x[live], part[live]
+            if live.size:
+                tcol[i], vcol[i], par[i] = t, x - c[i], p
+                yield from walk(i + 1, rest[p] - t, part)
 
-    return walk(0, (), [], n, 0.0)
+    def last_level(anc, rest, partial, mid, lo, hi):
+        # a line with lo > hi yields nothing: its inner interval is empty and
+        # so is its edge range [lo, hi]
+        i = d - 1
+        prefix = np.empty((rest.size, i), dtype=np.int64)
+        for j in range(i):
+            prefix[:, j] = tcol[j][anc[j]]
+        slack = inner - partial
+        half = n * np.sqrt(np.maximum(slack, 0.0) / piv[i])
+        lo_in = np.maximum(lo, np.ceil(mid - half))
+        hi_in = np.minimum(hi, np.floor(mid + half))
+        ok = (slack >= 0.0) & (lo_in <= hi_in)
+        lo_in = np.where(ok, lo_in, hi + 1.0)
+        hi_in = np.where(ok, hi_in, hi)
+        row = ok.nonzero()[0]
+        t0, t1 = lo_in[row].astype(np.int64), hi_in[row].astype(np.int64)
+        singles = []
+        for r in ((lo < lo_in) | (hi_in < hi)).nonzero()[0].tolist():
+            pre, m = tuple(prefix[r].tolist()), int(rest[r])
+            for t in (*range(int(lo[r]), int(lo_in[r])), *range(int(hi_in[r]) + 1, int(hi[r]) + 1)):
+                if _qform(e, pre + (t, m - t), n) <= thr:
+                    singles.append((r, t))
+        if singles:
+            sr, st = np.array(singles, dtype=np.int64).T
+            row, t0 = np.concatenate((row, sr)), np.concatenate((t0, st))
+            order = np.lexsort((t0, row))
+            row, t0, t1 = row[order], t0[order], np.concatenate((t1, st))[order]
+        if row.size:
+            yield prefix[row], rest[row], t0, t1
+
+    if outer >= 0.0:
+        yield from walk(0, np.array([n], dtype=np.int64), np.zeros(1))
 
 
 def enumerate_types_in_ellipsoid(
@@ -265,9 +320,10 @@ def enumerate_types_in_ellipsoid(
     Raises ResourceLimitError if the walk visits more than ``cap`` lattice
     points.
     """
-    return [prefix + (t, rest - t)
+    return [(*pre, t, m - t)
             for prefix, rest, t0, t1 in _lines(e, n, k, cap)
-            for t in range(t0, t1 + 1)]
+            for pre, m, a, b in zip(prefix.tolist(), rest.tolist(), t0.tolist(), t1.tolist())
+            for t in range(a, b + 1)]
 
 
 def count_types_in_ellipsoid(
@@ -275,12 +331,35 @@ def count_types_in_ellipsoid(
 ) -> int:
     """``len(enumerate_types_in_ellipsoid(e, n, k, cap))`` without the list:
     the walker's runs are added up."""
-    return sum(t1 - t0 + 1 for _, _, t0, t1 in _lines(e, n, k, cap))
+    return sum(int((t1 - t0).sum()) + t0.size for _, _, t0, t1 in _lines(e, n, k, cap))
 
 
 # Points per numpy block in decode's hash filter: decode memory is O(_BLOCK),
 # whatever the candidate count.
 _BLOCK = 2**16
+
+_P61 = np.uint64(MERSENNE61)
+
+
+def _addmod61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x + y mod 2^61 - 1 for x + y < 2 (2^61 - 1): where s < p, s - p wraps above s
+    s = x + y
+    return np.minimum(s, s - _P61)
+
+
+def _mulmod61(a: int, t: np.ndarray) -> np.ndarray:
+    """``a * t mod 2^61 - 1`` as uint64, for 0 <= a < 2^61 and 0 <= t < 2^32.
+
+    With a = a1 2^32 + a0, the products a1 t < 2^61 and a0 t < 2^64 fit in
+    uint64, and as 2^61 = 1 mod 2^61 - 1, a1 t 2^32 is congruent to
+    (a1 t >> 29) + ((a1 t mod 2^29) << 32).
+    """
+    t = t.astype(np.uint64)
+    hi = np.uint64(a >> 32) * t
+    lo = np.uint64(a & 0xFFFFFFFF) * t
+    s = (hi >> np.uint64(29)) + ((hi & np.uint64(2**29 - 1)) << np.uint64(32))
+    s += (lo & _P61) + (lo >> np.uint64(61))  # < 2^63
+    return _addmod61(s & _P61, s >> np.uint64(61))  # < 2^61 + 4 before the fold
 
 
 def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
@@ -289,49 +368,42 @@ def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
     Equal to keeping the types of ``enumerate_types_in_ellipsoid(e, n, k, cap)``
     with ``universal_hash(t, seed, b) == h``, where ``mult`` holds the seed's
     multipliers, but no candidate list is built.  The hash sum is linear mod
-    2^61 - 1, so on the walker's line ``prefix + (t, rest - t)`` it is ``base +
-    t * (mult[k-2] - mult[k-1])``.  The walker's runs, all inside the region,
-    are cut into segments packed into blocks of ``_BLOCK`` points (a long run
-    spans blocks), and each block's sums and mixes run as uint64 arrays.
+    2^61 - 1 and rest = n - sum(prefix), so at the walker's point ``(*prefix,
+    t, rest - t)`` it is ``n mult[k-1] + sum_j prefix_j (mult[j] - mult[k-1])
+    + t (mult[k-2] - mult[k-1])``.  Each chunk of the walker's runs is cut
+    into segments packed into blocks of ``_BLOCK`` points (a long run spans
+    blocks).  A block computes its segments' sums at their first points, and
+    its points' sums and mixes, as uint64 arrays.  Counts must lie below 2^32.
     """
     p = MERSENNE61
-    step = (mult[k - 2] - mult[k - 1]) % p
-    p64, mask, want = np.uint64(p), np.uint64((1 << b) - 1), np.uint64(h)
-    steps = np.zeros(1, dtype=np.uint64)  # steps[j] = j * step mod p
+    w = [(mult[j] - mult[k - 1]) % p for j in range(k - 1)]
+    const = np.uint64(n * mult[k - 1] % p)
+    mask, want = np.uint64((1 << b) - 1), np.uint64(h)
     hits: list[tuple[int, ...]] = []
-    segs: list = []  # (t0, length, hash sum at t0, prefix, rest) per segment
-
-    def flush():
-        nonlocal steps
-        lens = np.array([s[1] for s in segs])
-        while steps.size < lens.max():
-            more = steps + np.uint64(step * steps.size % p)
-            steps = np.concatenate((steps, np.where(more >= p64, more - p64, more)))
-        starts = np.cumsum(lens) - lens
-        j = np.arange(int(lens.sum())) - np.repeat(starts, lens)
-        acc = np.repeat(np.array([s[2] for s in segs], dtype=np.uint64), lens) + steps[j]
-        acc = np.where(acc >= p64, acc - p64, acc)
-        idx = np.flatnonzero((mix64_array(acc) & mask) == want)
-        seg = np.searchsorted(starts, idx, side="right") - 1
-        for i, s in zip(idx.tolist(), seg.tolist()):
-            t0, _, _, prefix, rest = segs[s]
-            t = t0 + i - int(starts[s])
-            hits.append(prefix + (t, rest - t))
-        segs.clear()
-
-    room = _BLOCK
     for prefix, rest, t0, t1 in _lines(e, n, k, cap):
-        base = (sum(map(mul, mult, prefix)) + mult[k - 1] * rest) % p
-        while t0 <= t1:
-            length = min(t1 - t0 + 1, room)
-            segs.append((t0, length, (base + step * t0) % p, prefix, rest))
-            t0 += length
-            room -= length
-            if not room:
-                flush()
-                room = _BLOCK
-    if segs:
-        flush()
+        lens = t1 - t0 + 1
+        ends = np.add.accumulate(lens)
+        starts = ends - lens
+        total = int(ends[-1])
+        steps = _mulmod61(w[-1], np.arange(min(_BLOCK, int(lens.max()))))
+        for start in range(0, total, _BLOCK):
+            stop = min(start + _BLOCK, total)
+            # the runs r0..r1-1 meet this block, each in one segment
+            r0 = int(ends.searchsorted(start, side="right"))
+            r1 = int(ends.searchsorted(stop - 1, side="right")) + 1
+            first = t0[r0:r1] + np.maximum(start - starts[r0:r1], 0)
+            seg = np.minimum(ends[r0:r1], stop) - np.maximum(starts[r0:r1], start)
+            seg_start = np.add.accumulate(seg) - seg
+            at_first = _mulmod61(w[-1], first)
+            for j in range(k - 2):
+                at_first = _addmod61(at_first, _mulmod61(w[j], prefix[r0:r1, j]))
+            at_first = _addmod61(at_first, const)
+            pos = np.arange(stop - start) - seg_start.repeat(seg)
+            acc = _addmod61(at_first.repeat(seg), steps[pos])
+            for i in ((mix64_array(acc) & mask) == want).nonzero()[0].tolist():
+                s = int(seg_start.searchsorted(i, side="right")) - 1
+                r, u = r0 + s, int(first[s]) + i - int(seg_start[s])
+                hits.append((*prefix[r].tolist(), u, int(rest[r]) - u))
     return hits
 
 
@@ -508,6 +580,8 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
     y = _validate_sequence(y, config.k)
     if y.size != config.m:
         raise ValueError(f"memory length {y.size} != configured m={config.m}")
+    if n >= 2**32:  # the hash filter's uint64 arithmetic needs counts below 2^32
+        raise ValueError(f"n={n} does not fit the container's 32-bit length field")
     if payload.bit_length < 16:
         raise FramingError("payload shorter than the hash-width field")
     r = BitReader(payload)

@@ -74,6 +74,36 @@ class TestBounds:
         assert "m must be >= 1" in err
 
 
+class TestRepeatedMain:
+    def test_calls_share_the_parser_and_nothing_else(self, capsys, tmp_path):
+        # the parser is built once per process; a rejected parse must leave
+        # nothing behind for the next call, and each call gets its own options
+        assert cli._build_parser() is cli._build_parser()
+        code, _, err = run_cli(capsys, "--js", "bounds", "--n", "5", "--strategy", "ucompm")
+        assert code == 1 and err == "error: unrecognized arguments: --js\n"
+        code, out, err = run_cli(capsys, "--json", "bounds", "--k", "2", "--n", "1000",
+                                 "--m", "1000", "--strategy", "ucompm")
+        assert code == 0 and err == ""
+        assert json.loads(out)["total_bits"] == pytest.approx(0.5)
+        fam = memoryless(3)
+        src, mem = tmp_path / "x.bin", tmp_path / "y.bin"
+        x = sample_sequence(fam, [0.5, 0.3, 0.2], 60, seed=11)
+        src.write_bytes(bytes(np.asarray(x, dtype=np.uint8)))
+        mem.write_bytes(bytes(np.asarray(sample_sequence(fam, [0.5, 0.3, 0.2], 600, seed=12),
+                                         dtype=np.uint8)))
+        enc, dec = tmp_path / "w.ucds", tmp_path / "back.bin"
+        assert run_cli(capsys, "encode", "--strategy", "ducompm", "--in", str(src),
+                       "--out", str(enc), "--k", "3", "--pe", "0.1", "--memory-len", "600",
+                       "--seed", "99")[0] == 0
+        # decode's --seed default, not the encoder's 99: the hash misses
+        code, _, err = run_cli(capsys, "decode", "--in", str(enc), "--memory", str(mem),
+                               "--out", str(dec))
+        assert code == 3 and "failure" in err
+        assert run_cli(capsys, "decode", "--in", str(enc), "--memory", str(mem),
+                       "--out", str(dec), "--seed", "99")[0] == 0
+        assert np.array_equal(np.frombuffer(dec.read_bytes(), dtype=np.uint8), x)
+
+
 class TestFigure:
     def test_fig2_csv(self, capsys, tmp_path):
         out = tmp_path / "fig2.csv"

@@ -241,18 +241,27 @@ def ellipsoids(draw):
     return e, n, k, on_boundary
 
 
+# walk chunk sizes: small ones cut a level's prefixes, and one parent's
+# children, across chunks
+CHUNKS = st.sampled_from([1, 3, 7, ducompm._CHUNK])
+
+
 class TestWalkerAgainstBoxScan:
     @settings(max_examples=300)
-    @given(ellipsoids())
-    def test_same_types_same_order(self, case):
+    @given(ellipsoids(), CHUNKS)
+    def test_same_types_same_order(self, case, chunk):
         e, n, k, on_boundary = case
-        assert enumerate_types_in_ellipsoid(e, n, k) == region_types(e, n, k, on_boundary)
+        with mock.patch.object(ducompm, "_CHUNK", chunk):
+            types = enumerate_types_in_ellipsoid(e, n, k)
+        assert types == region_types(e, n, k, on_boundary)
 
     @settings(max_examples=300)
-    @given(ellipsoids())
-    def test_count_is_list_length(self, case):
+    @given(ellipsoids(), CHUNKS)
+    def test_count_is_list_length(self, case, chunk):
         e, n, k, _ = case
-        assert count_types_in_ellipsoid(e, n, k) == len(enumerate_types_in_ellipsoid(e, n, k))
+        with mock.patch.object(ducompm, "_CHUNK", chunk):
+            count = count_types_in_ellipsoid(e, n, k)
+        assert count == len(enumerate_types_in_ellipsoid(e, n, k))
 
 
 class TestUniversalHash:
@@ -343,13 +352,14 @@ def decode_cases(draw):
 
 class TestDecodeAgainstListing:
     @settings(max_examples=300)
-    @given(decode_cases(), st.sampled_from([1, 3, 7, ducompm._BLOCK]))
-    def test_same_hits_same_outcome(self, case, block):
+    @given(decode_cases(), st.sampled_from([1, 3, 7, ducompm._BLOCK]), CHUNKS)
+    def test_same_hits_same_outcome(self, case, block, chunk):
         # small blocks split the walker's lines across blocks
         e, n, k, types, seed, b, h, payload = case
         cfg = DucompmConfig(k=k, m=1, p_e=0.1, hash_seed=seed)
         mult = ducompm._hash_multipliers(seed, k)
-        with mock.patch.object(ducompm, "_BLOCK", block):
+        with mock.patch.object(ducompm, "_BLOCK", block), \
+                mock.patch.object(ducompm, "_CHUNK", chunk):
             hits = ducompm._hash_hits(e, n, k, cfg.candidate_cap, mult, b, h)
             with mock.patch.object(ducompm, "build_ellipsoid", lambda *args: e):
                 got = decode_ducompm(payload, [0], n, cfg)
@@ -379,6 +389,21 @@ class TestDecodeAgainstListing:
         finally:
             tracemalloc.stop()
         assert outcome.failure_reason == "no-candidate"
+        assert peak < 8 * 2**20
+
+    def test_memory_does_not_grow_with_k(self):
+        # a forged header's k=131 over a k=3 memory: the 130-level walk runs
+        # into the cap, holding one chunk of prefixes per level on the way
+        y = sample_sequence(MEM3, [1 / 3] * 3, 3000, seed=5)
+        cfg = DucompmConfig(k=131, m=3000, p_e=0.05, candidate_cap=200_000)
+        payload = DCodeword(b=20, hash_value=1, rank=0, rank_bit_length=10).payload()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                decode_ducompm(payload, y, 300, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 8 * 2**20
 
 
@@ -534,6 +559,12 @@ class TestDecode:
         cfg = DucompmConfig(k=2, m=100, p_e=0.1)
         with pytest.raises(ValueError):
             decode_ducompm(BitStream(b"\x00\x10\x00", 20), np.zeros(99, dtype=int), 10, cfg)
+
+    def test_length_beyond_32_bits_rejected(self):
+        # the hash filter's arithmetic takes counts below 2^32, the container's n width
+        cfg = DucompmConfig(k=2, m=4, p_e=0.1)
+        with pytest.raises(ValueError, match="32-bit"):
+            decode_ducompm(DCodeword(1, 0, 0, 0).payload(), [0, 1, 0, 1], 2**32, cfg)
 
     def test_error_budget_harness(self):
         cfg = harness.ExperimentConfig(
