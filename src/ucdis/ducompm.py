@@ -465,53 +465,143 @@ def multinomial_count(counts) -> int:
     return size
 
 
+# Rank and unrank work on blocks of _RANK_BLOCK symbols (Cover's enumerative
+# rank, IEEE Trans. IT 19, 1973, taken a block at a time).  In one block let
+# T_i be the number of symbols left before its i-th symbol, num_i the count of
+# that symbol among them and pre_i the count of smaller symbols, and let
+#     P = prod num_i,   Q = prod T_i,
+#     S = sum_i pre_i * prod_{j<i} num_j * prod_{j>i} T_j.
+# With `start` and `end` the class sizes of the symbols left before and after
+# the block, end = start * P / Q, and the block's symbols add
+# start * S / Q = end * S / P to the rank (the ranks of the sequences that
+# share the block's prefix form [start * S / Q, start * S / Q + end)).  All four
+# divisions are exact, so the block costs one big multiply-divide pair in
+# place of one pair per symbol; P, Q and S stay near 64 * log2(n) bits.
+_RANK_BLOCK = 64
+
+# type_unrank guesses a block's symbols with the per-symbol loop run on the top
+# bits of rank and size only, shifted so that size keeps the bits the block
+# should use up (its share of size's bits) plus _GUESS_MARGIN, and accepts the
+# guess only if the exact interval above holds the rank; otherwise it redoes
+# the block with the exact loop.  Below _GUESS_MIN_BITS of class size the exact
+# loop is the faster one: the guess costs about as much per symbol as an exact
+# step at 1,000-1,500 bits (measured at k=2 to 16, ROADMAP item 4), and the
+# exact loop's cost falls with size while the guess's does not.
+_GUESS_MARGIN = 128
+_GUESS_MIN_BITS = 1024
+
+
 def type_rank(x, k: int) -> int:
-    """Lexicographic rank of x among all sequences with the same type."""
-    x = _validate_sequence(x, k)
-    counts = np.bincount(x, minlength=k).tolist()
-    total = x.size
-    size = multinomial_count(counts)
+    """Lexicographic rank of x among all sequences with the same type.
+
+    Walks the blocks backward from the empty suffix, whose class size is 1.
+    """
+    x = _validate_sequence(x, k).tolist()
+    counts = [0] * k
+    total = 0
     rank = 0
-    for s in x.tolist():
-        prefix = sum(counts[:s])
-        if prefix:
-            rank += size * prefix // total
-        size = size * counts[s] // total
-        counts[s] -= 1
-        total -= 1
+    size = 1
+    for end in range(len(x), 0, -_RANK_BLOCK):
+        s_sum, num_prod, tot_prod = 0, 1, 1
+        for s in reversed(x[max(0, end - _RANK_BLOCK):end]):
+            total += 1
+            num = counts[s] = counts[s] + 1
+            s_sum = s_sum * num + sum(counts[:s]) * tot_prod if s else s_sum * num
+            num_prod *= num
+            tot_prod *= total
+        rank += size * s_sum // num_prod
+        size = size * tot_prod // num_prod
     return rank
 
 
-def type_unrank(t, rank: int) -> np.ndarray:
-    """Inverse of type_rank: the rank-th sequence of type t in lex order."""
+def _unrank_steps(counts, total: int, rank: int, size: int, out: list, m: int) -> tuple[int, int]:
+    """Exact per-symbol unrank of the next m symbols into ``out``; returns
+    the rank within, and the size of, the class of the symbols left."""
+    for _ in range(m):
+        for a, c in enumerate(counts):
+            if c:
+                w = size * c // total
+                if rank < w:
+                    break
+                rank -= w
+        out.append(a)
+        size = w
+        counts[a] = c - 1
+        total -= 1
+    return rank, size
+
+
+def _guess_block(counts, total: int, rank: int, size: int, m: int):
+    """The per-symbol loop on a window of rank and size, building the block's
+    S and P on the way: (symbols, S, P), or None if the window's rank runs
+    past its class.  _unrank_steps stays separate: it runs on the whole tail
+    of a class, where S and P would grow to the class size."""
+    symbols = []
+    s_sum, num_prod = 0, 1
+    for _ in range(m):
+        pre = 0
+        for a, c in enumerate(counts):
+            if c:
+                w = size * c // total
+                if rank < w:
+                    break
+                rank -= w
+                pre += c
+        else:
+            return None
+        s_sum = s_sum * total + pre * num_prod
+        num_prod *= c
+        symbols.append(a)
+        size = w
+        counts[a] = c - 1
+        total -= 1
+    return symbols, s_sum, num_prod
+
+
+def type_unrank(t, rank: int, size: int | None = None) -> np.ndarray:
+    """Inverse of type_rank: the rank-th sequence of type t in lex order.
+
+    ``size`` is the class size ``multinomial_count(t)`` when the caller has it.
+    """
     counts = [int(c) for c in t]
     total = sum(counts)
-    size = multinomial_count(counts)
+    if size is None:
+        size = multinomial_count(counts)
     if not (0 <= rank < max(size, 1)):
         raise ValueError(f"rank {rank} out of range for class size {size}")
-    out = np.empty(total, dtype=np.int64)
-    for pos in range(total):
-        for a, c in enumerate(counts):
-            if c == 0:
+    out = []
+    while (bits := size.bit_length()) > _GUESS_MIN_BITS:
+        m = min(_RANK_BLOCK, total)
+        sh = bits - m * bits // total - _GUESS_MARGIN
+        guess = counts.copy()
+        # sh <= 0: the window would be all of rank and size, so the exact loop
+        # does the block
+        g = _guess_block(guess, total, rank >> sh, size >> sh, m) if sh > 0 else None
+        if g is not None:
+            symbols, s_sum, num_prod = g
+            tot_prod = math.perm(total, m)
+            offset = rank - size * s_sum // tot_prod
+            end = size * num_prod // tot_prod
+            if 0 <= offset < end:
+                out += symbols
+                counts, total, rank, size = guess, total - m, offset, end
                 continue
-            w = size * c // total
-            if rank < w:
-                out[pos] = a
-                size = w
-                counts[a] -= 1
-                total -= 1
-                break
-            rank -= w
-    return out
+        rank, size = _unrank_steps(counts, total, rank, size, out, m)
+        total -= m
+    _unrank_steps(counts, total, rank, size, out, total)
+    return np.array(out, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class DCodeword:
     """Wire object: hash width, hash of the type, in-class enumerative rank.
 
-    The rank field's width is implied by the resolved type (ceil log2 of the
-    class size), so it is not transmitted.  ``coded_bits`` counts hash plus
-    rank; the u16 width field is framing and excluded from rate accounting.
+    The rank field's width, ceil log2 of the class size, is not written as a
+    field: the decoder reads it off the payload's bit length (payload bits
+    minus 16 minus b) and keeps only candidates whose class size gives that
+    width.  ``coded_bits`` counts hash plus rank; the u16 width field and the
+    container's bit-length field are framing and excluded from rate
+    accounting, although the bit length also tells the decoder the width.
     """
 
     b: int
@@ -599,9 +689,10 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
         size = multinomial_count(t)
         if (size - 1).bit_length() != rank_field_bits or rank >= size:
             continue
-        survivors.append(t)
+        survivors.append((t, size))
     if not survivors:
         return DecodeOutcome(failure_reason="no-candidate")
     if len(survivors) > 1:
         return DecodeOutcome(failure_reason="ambiguous")
-    return DecodeOutcome(sequence=type_unrank(survivors[0], rank))
+    t, size = survivors[0]
+    return DecodeOutcome(sequence=type_unrank(t, rank, size))

@@ -2,7 +2,9 @@
 
 ``FixedModel`` is a non-adaptive integer-frequency model with the coder's
 model interface (known-parameter coding); ``ideal_kt_bits`` is the ideal KT
-codelength that the arithmetic coder's output must stay within 2 bits of.
+codelength that the arithmetic coder's output must stay within 2 bits of;
+``type_rank``/``type_unrank`` are the per-symbol enumerative rank and unrank
+that ducompm's blocked ones must agree with.
 """
 
 import math
@@ -70,3 +72,44 @@ def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
             if c1:
                 nats += math.lgamma(c0 + c1 + 0.5) - math.lgamma(c0 + 0.5)
     return -nats / math.log(2.0)
+
+
+def _class_size(counts) -> int:
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
+
+
+def type_rank(x, k: int) -> int:
+    """Lexicographic rank of x in its type class, one symbol at a time."""
+    counts = np.bincount(np.asarray(x, dtype=np.int64), minlength=k).tolist()
+    total = sum(counts)
+    size = _class_size(counts)
+    rank = 0
+    for s in np.asarray(x).tolist():
+        prefix = sum(counts[:s])
+        if prefix:
+            rank += size * prefix // total
+        size = size * counts[s] // total
+        counts[s] -= 1
+        total -= 1
+    return rank
+
+
+def type_unrank(t, rank: int) -> list[int]:
+    """The rank-th sequence of type t in lex order, one symbol at a time."""
+    counts = [int(c) for c in t]
+    total = sum(counts)
+    size = _class_size(counts)
+    out = []
+    for _ in range(total):
+        for a, c in enumerate(counts):
+            if c == 0:
+                continue
+            w = size * c // total
+            if rank < w:
+                out.append(a)
+                size = w
+                counts[a] -= 1
+                total -= 1
+                break
+            rank -= w
+    return out

@@ -1,5 +1,6 @@
 """Distributed codec tests: geometry, enumeration, hashing, ranking, end-to-end."""
 
+import contextlib
 import math
 import tracemalloc
 from itertools import product
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucdis import ducompm, harness
@@ -37,6 +38,8 @@ from ucdis.ducompm import (
 from ucdis.numerics import chi2_quantile_upper
 from ucdis.rng import MASK64, mix64, mix64_array
 from ucdis.sources import context_counts, fisher_info, memoryless, sample_sequence
+
+import reference
 
 MEM2 = memoryless(2)
 MEM3 = memoryless(3)
@@ -427,6 +430,25 @@ class TestHashLength:
                 > hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.1)))
 
 
+@st.composite
+def rank_cases(draw):
+    """(x, k, r): a sequence and a rank of its class.  k is 2..16; the length
+    sits at a block boundary, is up to 300, or is long enough for the class to
+    pass the guessing break-even (thousands at k <= 4).  A random set of
+    symbols does not occur (zero counts; all but one gives a one-sequence
+    class), and the others have random frequencies."""
+    k = draw(st.integers(2, 16))
+    B = ducompm._RANK_BLOCK
+    long = st.integers(1000, 4000) if k <= 4 else st.integers(300, 1000)
+    n = draw(st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 1]) | st.integers(0, 300) | long)
+    absent = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    used = [a for a in range(k) if a not in absent]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice(used, size=n, p=rng.dirichlet(np.full(len(used), 2.0))).tolist()
+    r = draw(st.integers(0, multinomial_count(type_of(x, k)) - 1))
+    return x, k, r
+
+
 class TestRanking:
     def test_two_element_class(self):
         assert type_rank([0, 1], 2) == 0
@@ -473,6 +495,56 @@ class TestRanking:
         t = [3, 2]
         seqs = [tuple(type_unrank(t, r)) for r in range(multinomial_count(t))]
         assert seqs == sorted(seqs)
+
+    @settings(max_examples=150)
+    @given(rank_cases(), st.sampled_from([1, ducompm._GUESS_MIN_BITS]))
+    @example(([2] * 70, 3, 0), 1)
+    @example(([], 2, 0), 1)
+    def test_blocked_matches_per_symbol_reference(self, case, min_bits):
+        """The blocked rank and unrank agree with the per-symbol loops, on
+        the guess-and-check path too (with the break-even patched to 1 bit,
+        every class of two or more sequences takes it)."""
+        x, k, r = case
+        t = type_of(x, k)
+        size = multinomial_count(t)
+        assert type_rank(x, k) == reference.type_rank(x, k)
+        with mock.patch.object(ducompm, "_GUESS_MIN_BITS", min_bits):
+            assert type_unrank(t, type_rank(x, k)).tolist() == x
+            expected = reference.type_unrank(t, r)
+            assert type_unrank(t, r).tolist() == expected
+            assert type_unrank(t, r, size).tolist() == expected
+
+    def test_wrong_guesses_are_redone_exactly(self):
+        """Guesses are accepted as they stand; one that misses the rank's
+        interval, or whose window runs past its class, is redone by the exact
+        loop: same output, and the redo ran (the exact loop is otherwise
+        called once, for the tail)."""
+        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 2000, seed=11).tolist()
+        t = type_of(x, 3)
+        r = type_rank(x, 3)
+        size = multinomial_count(t)
+        real = ducompm._guess_block
+
+        def mirrored(counts, total, rank, size, m):  # the guess for another rank
+            return real(counts, total, size - 1 - rank, size, m)
+
+        for patch, least in ((contextlib.nullcontext(), 0),
+                             (mock.patch.object(ducompm, "_guess_block", mirrored), 10),
+                             (mock.patch.object(ducompm, "_GUESS_MARGIN", -10**6), 10)):
+            with patch, mock.patch.object(ducompm, "_unrank_steps",
+                                          wraps=ducompm._unrank_steps) as steps:
+                assert type_unrank(t, r, size).tolist() == x
+            redone = [c for c in steps.call_args_list if c.args[-1] == ducompm._RANK_BLOCK]
+            assert steps.call_count == len(redone) + 1
+            assert len(redone) >= least if least else redone == []
+
+    def test_size_argument_is_the_class_size(self):
+        x = sample_sequence(MEM2, [0.45, 0.55], 3000, seed=5).tolist()
+        t = type_of(x, 2)
+        size = multinomial_count(t)
+        assert size.bit_length() > ducompm._GUESS_MIN_BITS
+        for r in (0, type_rank(x, 2), size // 3, size - 1):
+            assert type_unrank(t, r, size).tolist() == type_unrank(t, r).tolist()
 
 
 class TestCodewords:
