@@ -238,10 +238,9 @@ class FigureTable:
     columns: dict[str, tuple[float, ...]]
 
     def to_csv(self) -> str:
-        lines = [f"# mode={self.mode}", "n,ucomp,ducompm_pe1e-40,ducompm_pe1e-6,ucompm"]
+        lines = [f"# mode={self.mode}", ",".join(["n", *self.columns])]
         for i, n in enumerate(self.ns):
-            vals = [format(self.columns[c][i], ".6g") for c in
-                    ("ucomp", "ducompm_pe1e-40", "ducompm_pe1e-6", "ucompm")]
+            vals = [format(col[i], ".6g") for col in self.columns.values()]
             lines.append(f"{n}," + ",".join(vals))
         return "\n".join(lines) + "\n"
 

@@ -491,10 +491,12 @@ _GUESS_MARGIN = 128
 _GUESS_MIN_BITS = 1024
 
 
-def type_rank(x, k: int) -> int:
-    """Lexicographic rank of x among all sequences with the same type.
+def type_rank(x, k: int) -> tuple[int, int]:
+    """Lexicographic rank of x among all sequences with the same type, and
+    the size of that type class: ``(rank, size)``.
 
-    Walks the blocks backward from the empty suffix, whose class size is 1.
+    Walks the blocks backward from the empty suffix, whose class size is 1,
+    so the walk ends holding the class size of x itself.
     """
     x = _validate_sequence(x, k).tolist()
     counts = [0] * k
@@ -511,7 +513,7 @@ def type_rank(x, k: int) -> int:
             tot_prod *= total
         rank += size * s_sum // num_prod
         size = size * tot_prod // num_prod
-    return rank
+    return rank, size
 
 
 def _unrank_steps(counts, total: int, rank: int, size: int, out: list, m: int) -> tuple[int, int]:
@@ -649,11 +651,11 @@ def encode_ducompm(x, config: DucompmConfig) -> DCodeword:
         raise ValueError("cannot encode an empty sequence")
     counts = np.bincount(x, minlength=config.k)
     b = hash_length(x, config)
-    size = multinomial_count(counts)
+    rank, size = type_rank(x, config.k)
     return DCodeword(
         b=b,
         hash_value=universal_hash(counts, config.hash_seed, b),
-        rank=type_rank(x, config.k),
+        rank=rank,
         rank_bit_length=(size - 1).bit_length(),
     )
 

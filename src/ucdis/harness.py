@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -323,13 +323,6 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> CoverageReport:
     )
 
 
-_ROW_FIELDS = (
-    "strategy", "k", "n", "m", "p_e", "trials",
-    "avg_len_bits", "avg_redundancy_bits", "stderr_bits", "error_rate", "theory_bits",
-)
-_COVERAGE_FIELDS = ("k", "n", "m", "p_e", "trials", "empirical_coverage", "target")
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".6g")
@@ -337,18 +330,21 @@ def _fmt(v) -> str:
 
 
 def emit_csv(result, path):
-    """Write SummaryRows or a CoverageReport as CSV (6 significant digits)."""
+    """Write SummaryRows or a CoverageReport as CSV (6 significant digits).
+
+    The columns are the dataclass's fields, in declaration order.
+    """
     if isinstance(result, CoverageReport):
-        fields, rows = _COVERAGE_FIELDS, [result]
+        schema, rows = CoverageReport, [result]
     else:
-        fields, rows = _ROW_FIELDS, list(result)
+        schema, rows = SummaryRow, list(result)
+    names = [f.name for f in fields(schema)]
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(fields)
+            writer.writerow(names)
             for row in rows:
-                d = asdict(row)
-                writer.writerow([_fmt(d[f]) for f in fields])
+                writer.writerow([_fmt(getattr(row, f)) for f in names])
     except OSError as e:
         raise OSError(f"cannot write CSV to {path}: {e}") from e
 

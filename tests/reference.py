@@ -4,12 +4,15 @@
 model interface (known-parameter coding); ``ideal_kt_bits`` is the ideal KT
 codelength that the arithmetic coder's output must stay within 2 bits of;
 ``type_rank``/``type_unrank`` are the per-symbol enumerative rank and unrank
-that ducompm's blocked ones must agree with.
+that ducompm's blocked ones must agree with; ``reg_gamma_upper`` is the
+chi-square tail mass that ``chi2_quantile_upper``'s quantiles are checked
+against.
 """
 
 import math
 
 import numpy as np
+from scipy.special import gammaincc
 
 from ucdis.sources import SourceFamily, context_counts
 
@@ -113,3 +116,16 @@ def type_unrank(t, rank: int) -> list[int]:
                 break
             rank -= w
     return out
+
+
+def reg_gamma_upper(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
+
+    Q(s, 0) = 1 and Q decreases to 0 as x grows; this is the tail mass of a
+    Gamma(s, 1) variable above x.
+    """
+    if s <= 0:
+        raise ValueError(f"reg_gamma_upper requires s > 0, got s={s}")
+    if x < 0:
+        raise ValueError(f"reg_gamma_upper requires x >= 0, got x={x}")
+    return float(gammaincc(s, x))

@@ -451,16 +451,16 @@ def rank_cases(draw):
 
 class TestRanking:
     def test_two_element_class(self):
-        assert type_rank([0, 1], 2) == 0
-        assert type_rank([1, 0], 2) == 1
+        assert type_rank([0, 1], 2) == (0, 2)
+        assert type_rank([1, 0], 2) == (1, 2)
         assert type_unrank([1, 1], 0).tolist() == [0, 1]
         assert type_unrank([1, 1], 1).tolist() == [1, 0]
 
     def test_known_rank_example(self):
-        assert type_rank([0, 1, 1, 0], 2) == 2  # third among 0011,0101,0110,...
+        assert type_rank([0, 1, 1, 0], 2) == (2, 6)  # third among 0011,0101,0110,...
 
     def test_smallest_member_is_rank_zero(self):
-        assert type_rank([0, 0, 1, 1, 2], 3) == 0
+        assert type_rank([0, 0, 1, 1, 2], 3) == (0, 30)
 
     def test_multinomial_count(self):
         assert multinomial_count([2, 2]) == 6
@@ -472,8 +472,10 @@ class TestRanking:
             for n in range(0, 9):
                 for x in product(range(k), repeat=n):
                     x = np.array(x, dtype=np.int64)
-                    r = type_rank(x, k)
-                    assert np.array_equal(type_unrank(type_of(x, k), r), x)
+                    t = type_of(x, k)
+                    r, size = type_rank(x, k)
+                    assert size == multinomial_count(t)
+                    assert np.array_equal(type_unrank(t, r), x)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
@@ -486,10 +488,12 @@ class TestRanking:
         x = data.draw(st.lists(st.integers(0, k - 1), max_size=300))
         t = type_of(x, k)
         size = multinomial_count(t)
-        assert 0 <= type_rank(x, k) < size
-        assert type_unrank(t, type_rank(x, k)).tolist() == x
+        rank, rank_size = type_rank(x, k)
+        assert rank_size == size
+        assert 0 <= rank < size
+        assert type_unrank(t, rank).tolist() == x
         r = data.draw(st.integers(0, size - 1))
-        assert type_rank(type_unrank(t, r), k) == r
+        assert type_rank(type_unrank(t, r), k) == (r, size)
 
     def test_unrank_is_lex_ordered(self):
         t = [3, 2]
@@ -507,9 +511,9 @@ class TestRanking:
         x, k, r = case
         t = type_of(x, k)
         size = multinomial_count(t)
-        assert type_rank(x, k) == reference.type_rank(x, k)
+        assert type_rank(x, k) == (reference.type_rank(x, k), size)
         with mock.patch.object(ducompm, "_GUESS_MIN_BITS", min_bits):
-            assert type_unrank(t, type_rank(x, k)).tolist() == x
+            assert type_unrank(t, type_rank(x, k)[0]).tolist() == x
             expected = reference.type_unrank(t, r)
             assert type_unrank(t, r).tolist() == expected
             assert type_unrank(t, r, size).tolist() == expected
@@ -521,7 +525,7 @@ class TestRanking:
         called once, for the tail)."""
         x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 2000, seed=11).tolist()
         t = type_of(x, 3)
-        r = type_rank(x, 3)
+        r = type_rank(x, 3)[0]
         size = multinomial_count(t)
         real = ducompm._guess_block
 
@@ -543,7 +547,7 @@ class TestRanking:
         t = type_of(x, 2)
         size = multinomial_count(t)
         assert size.bit_length() > ducompm._GUESS_MIN_BITS
-        for r in (0, type_rank(x, 2), size // 3, size - 1):
+        for r in (0, type_rank(x, 2)[0], size // 3, size - 1):
             assert type_unrank(t, r, size).tolist() == type_unrank(t, r).tolist()
 
 

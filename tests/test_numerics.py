@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from ucdis.numerics import chi2_quantile_upper, log2_unit_ball_volume, reg_gamma_upper
+from ucdis.numerics import chi2_quantile_upper, log2_unit_ball_volume
+
+from reference import reg_gamma_upper
 
 
 class TestRegGammaUpper:
@@ -73,11 +75,21 @@ class TestChi2Quantile:
         t = chi2_quantile_upper(65280, 1e-40)
         assert reg_gamma_upper(32640.0, t / 2.0) == pytest.approx(1e-40, rel=1e-6)
 
+    @pytest.mark.parametrize("d, p", [(3, 1e-115), (1, 1e-300), (255, 1e-200),
+                                      (8, 1e-281), (65280, 1e-40), (2, 0.05)])
+    def test_deep_tail(self, d, p):
+        # the tail mass above the quantile is p to near double precision,
+        # however small p is
+        t = chi2_quantile_upper(d, p)
+        assert abs(reg_gamma_upper(d / 2.0, t / 2.0) - p) <= 1e-12 * p
+
     def test_domain(self):
         with pytest.raises(ValueError):
             chi2_quantile_upper(2, 1.0)
         with pytest.raises(ValueError):
             chi2_quantile_upper(2, 0.0)
+        with pytest.raises(ValueError):
+            chi2_quantile_upper(2, float("nan"))
         with pytest.raises(ValueError):
             chi2_quantile_upper(0, 0.5)
 
