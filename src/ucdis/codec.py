@@ -8,6 +8,11 @@ Krichevsky-Trofimov model, ``KTCoderModel``, uses freq(a) = 2*count(a) + 1
 over total = 2*N + k so the implied probabilities (count + 1/2)/(N + k/2) are
 exact rationals, keeping encoder and decoder states identical bit for bit.
 
+The encoder knows its input, so it reads every interval from the model's
+``schedule``, which computes them from counts with numpy ahead of the coder
+loop.  The decoder learns each symbol only from the interval it locates, so
+it asks the model step by step: ``total``, ``locate``, then ``advance``.
+
 Universal coding without memory (ucomp) starts that model from empty counts;
 coding with a shared memory sequence (ucompm) starts it from the memory's
 counts on both sides.
@@ -28,6 +33,7 @@ _TOP = 1 << (_STATE_BITS - 1)
 _SECOND = _TOP >> 1
 _HALF_MASK = _MASK >> 1
 _MAX_TOTAL = (_MASK >> 2) + 2  # totals above this could collapse an interval
+_BLOCK = 1 << 14  # symbols per schedule block: bounds the schedule's memory
 
 
 class FramingError(ValueError):
@@ -201,11 +207,72 @@ class KTCoderModel:
             self._tree = self._trees[symbol]
             self._counts = self._rows[symbol]
 
+    def schedule(self, symbols):
+        """Yield the coder intervals of ``symbols`` as int64 arrays (lo, hi, total),
+        one block of up to ``_BLOCK`` symbols at a time.
+
+        They are what ``total``, ``interval`` and ``advance`` give step by step
+        from the model's current state, which is left as it is.  Symbol i in
+        context c (0, or for markov1 the previous symbol) has
+        lo = 2*below + x_i, hi = lo + 2*same + 1 and total = 2*N_c + k, where
+        same, below and N_c count the symbols before it in context c (primed
+        counts included) equal to x_i, smaller than x_i and in all.  Each
+        count of earlier symbols that share a key is one stable sort; ``below``
+        sums, over the bits b set in x_i, the earlier symbols whose key
+        (c, x) agrees with (c, x_i) above bit b and has 0 at b.
+        """
+        x = _validate_sequence(symbols, self.k)
+        k = self.k
+        bits = (k - 1).bit_length()
+        rows = np.array(self._rows, dtype=np.int64)
+        # (c, x) packed as c << bits | x, in the narrowest unsigned type:
+        # numpy's stable argsort is a radix sort on 8- and 16-bit keys
+        key_type = np.min_scalar_type((len(rows) << bits) - 1)
+        ctx = self.ctx
+        for start in range(0, len(x), _BLOCK):
+            xb = x[start : start + _BLOCK]
+            if self.markov:
+                cb = np.concatenate(([ctx], xb[:-1]))
+                ctx = int(xb[-1])
+            else:
+                cb = 0
+            cum = rows.cumsum(axis=1)
+            key = ((cb << bits) | xb).astype(key_type)
+            same = _earlier_equal(key)
+            below = (cum - rows)[cb, xb]
+            prev = same
+            for b in range(bits):
+                # earlier keys equal above bit b, less those equal through bit b
+                cur = _earlier_equal(key >> (b + 1))
+                below += ((xb >> b) & 1) * (cur - prev)
+                prev = cur
+            # prev counts the earlier symbols in the context.  Clipping keeps
+            # 2*N_c + k inside int64 and still above _MAX_TOTAL.
+            n_c = np.minimum(cum[:, -1][cb] + prev, _MAX_TOTAL >> 1)
+            lo = 2 * below + xb
+            yield lo, lo + 2 * (rows[cb, xb] + same) + 1, 2 * n_c + k
+            rows += np.bincount(cb * k + xb, minlength=rows.size).reshape(rows.shape)
+
+
+def _earlier_equal(key: np.ndarray) -> np.ndarray:
+    """For each position i, the number of positions j < i with key[j] == key[i]."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    pos = np.arange(len(key))
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    out = np.empty_like(pos)
+    out[order] = pos - np.maximum.accumulate(pos * first)
+    return out
+
 
 def ac_encode(model, symbols) -> BitStream:
     """Arithmetic-encode ``symbols`` against a sequential integer-frequency model.
 
-    The emitted length never exceeds the model's ideal codelength
+    The coder loop makes no model call: ``model.schedule(symbols)`` yields
+    nonempty blocks of integer arrays (lo, hi, total), the interval and total
+    of each symbol in turn, and the capacity check runs once per block.  The
+    emitted length never exceeds the model's ideal codelength
     -log2 prod p(x_i | x^(i-1)) by more than 2 bits.
     """
     low = 0
@@ -213,32 +280,27 @@ def ac_encode(model, symbols) -> BitStream:
     pending = 0
     w = BitWriter()
     write_uint = w.write_uint
-    total = model.total
-    interval = model.interval
-    advance = model.advance
-    for s in symbols:
-        t = total()
-        if t > _MAX_TOTAL:
+    for los, his, totals in model.schedule(symbols):
+        if totals.max() > _MAX_TOTAL:
             raise ValueError("model total exceeds coder capacity")
-        lo, hi = interval(s)
-        span = high - low + 1
-        high = low + span * hi // t - 1
-        low = low + span * lo // t
-        # low and high agree on their nb leading bits: those are settled.
-        nb = _STATE_BITS - (low ^ high).bit_length()
-        if nb:
-            # The pending underflow bits are the inverse of the first settled
-            # bit and follow it; adding (2^pending - 1) << (nb - 1) splices
-            # them in for either value of that bit.
-            write_uint((low >> (_STATE_BITS - nb)) + (((1 << pending) - 1) << (nb - 1)), nb + pending)
-            pending = 0
-            low = (low << nb) & _MASK
-            high = ((high << nb) & _MASK) | ((1 << nb) - 1)
-        while low & ~high & _SECOND:
-            pending += 1
-            low = (low << 1) & _HALF_MASK
-            high = ((high << 1) & _HALF_MASK) | _TOP | 1
-        advance(s)
+        for lo, hi, t in zip(los.tolist(), his.tolist(), totals.tolist()):
+            span = high - low + 1
+            high = low + span * hi // t - 1
+            low = low + span * lo // t
+            # low and high agree on their nb leading bits: those are settled.
+            nb = _STATE_BITS - (low ^ high).bit_length()
+            if nb:
+                # The pending underflow bits are the inverse of the first
+                # settled bit and follow it; adding (2^pending - 1) << (nb - 1)
+                # splices them in for either value of that bit.
+                write_uint((low >> (_STATE_BITS - nb)) + (((1 << pending) - 1) << (nb - 1)), nb + pending)
+                pending = 0
+                low = (low << nb) & _MASK
+                high = ((high << nb) & _MASK) | ((1 << nb) - 1)
+            while low & ~high & _SECOND:
+                pending += 1
+                low = (low << 1) & _HALF_MASK
+                high = ((high << 1) & _HALF_MASK) | _TOP | 1
     # Quarter-disambiguation termination: two bits plus any pending underflow
     # bits pin a dyadic interval inside [low, high] regardless of how the
     # stream is padded afterwards.  The final window is wider than a quarter,
@@ -314,7 +376,7 @@ def _primed_state(family: SourceFamily, y: np.ndarray) -> KTCoderModel:
 def encode_ucomp(family: SourceFamily, x) -> BitStream:
     """Universal coding from empty counts (no memory)."""
     x = _validate_sequence(x, family.k)
-    return ac_encode(KTCoderModel(family), x.tolist())
+    return ac_encode(KTCoderModel(family), x)
 
 
 def decode_ucomp(family: SourceFamily, bits: BitStream, n: int) -> np.ndarray:
@@ -325,7 +387,7 @@ def encode_ucompm(family: SourceFamily, y, x) -> BitStream:
     """Universal coding with counts primed by the shared memory sequence y."""
     y = _validate_sequence(y, family.k)
     x = _validate_sequence(x, family.k)
-    return ac_encode(_primed_state(family, y), x.tolist())
+    return ac_encode(_primed_state(family, y), x)
 
 
 def decode_ucompm(family: SourceFamily, y, bits: BitStream, n: int) -> np.ndarray:

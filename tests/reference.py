@@ -53,6 +53,19 @@ class FixedModel:
     def advance(self, symbol: int):
         pass
 
+    def schedule(self, symbols):
+        """All of ``symbols``' intervals and totals as one block of int64 arrays."""
+        x = np.asarray(symbols, dtype=np.int64)
+        if not x.size:
+            return
+        if x.min() < 0 or x.max() >= len(self.freqs):
+            raise ValueError("symbol outside the model's alphabet")
+        cum = np.array(self.cum, dtype=np.int64)
+        lo, hi = cum[x], cum[x + 1]
+        if (lo == hi).any():
+            raise ValueError("a symbol has zero frequency")
+        yield lo, hi, np.full(x.size, self.cum[-1], dtype=np.int64)
+
 
 def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
     """Ideal KT codelength -log2 prod (c+1/2)/(N+k/2), via gamma identities.

@@ -21,9 +21,18 @@ from ucdis.codec import (
     pack_container,
     unpack_container,
 )
-from ucdis.sources import MARKOV1, MEMORYLESS, SourceFamily, markov1, memoryless, sample_sequence
+from ucdis.sources import (
+    MARKOV1,
+    MEMORYLESS,
+    SourceFamily,
+    context_counts,
+    markov1,
+    memoryless,
+    sample_sequence,
+)
 
 from reference import FixedModel, ideal_kt_bits
+from test_coder_reference import coded_inputs
 
 MEM2 = memoryless(2)
 MEM4 = memoryless(4)
@@ -167,6 +176,74 @@ class TestArithmeticCoder:
             codec.decode_ucomp(MEM4, bits, 499)
         with pytest.raises(FramingError):  # no coded stream is shorter than 2 bits
             ac_decode(KTCoderModel(MEM2), BitStream(b"", 0), 0)
+
+
+class TestSchedule:
+    """``KTCoderModel.schedule``, which ``ac_encode`` reads, against the
+    step-by-step total()/interval()/advance() walk that ``ac_decode`` mirrors."""
+
+    @staticmethod
+    def joined(model, x):
+        blocks = list(model.schedule(x))
+        assert all(len(lo) for lo, _, _ in blocks)
+        return [tuple(map(int, row)) for block in blocks for row in zip(*block)]
+
+    @staticmethod
+    def walk(model, x):
+        out = []
+        for s in x:
+            t = model.total()
+            out.append((*model.interval(s), t))
+            model.advance(s)
+        return out
+
+    @settings(max_examples=300)
+    @given(coded_inputs().filter(lambda case: isinstance(case[0](), KTCoderModel)))
+    def test_equals_step_by_step_walk(self, case):
+        model, x = case
+        assert self.joined(model(), x) == self.walk(model(), x)
+
+    @pytest.mark.parametrize("kind,k", [(MEMORYLESS, 3), (MARKOV1, 16)])
+    def test_across_blocks(self, kind, k):
+        # three full blocks and a short one; memoryless k=3 is primed
+        fam = SourceFamily(kind, k)
+        rng = np.random.default_rng(k)
+        x = rng.integers(0, k, size=3 * codec._BLOCK + 5)
+        counts = None if kind == MARKOV1 else context_counts(fam, rng.integers(0, k, 3000))
+        schedule = self.joined(KTCoderModel(fam, counts), x)
+        assert schedule == self.walk(KTCoderModel(fam, counts), x.tolist())
+        assert [len(b[0]) for b in KTCoderModel(fam, counts).schedule(x)] == [codec._BLOCK] * 3 + [5]
+        bits = ac_encode(KTCoderModel(fam, counts), x)
+        assert ac_decode(KTCoderModel(fam, counts), bits, x.size) == x.tolist()
+
+    def test_coder_loop_makes_no_model_call(self):
+        class ScheduleOnly(KTCoderModel):
+            __slots__ = ()
+
+            def total(self):
+                raise AssertionError("total() called")
+
+            interval = advance = total
+
+        x = np.random.default_rng(6).integers(0, 5, size=400)
+        bits = ac_encode(ScheduleOnly(memoryless(5)), x)
+        assert bits == codec.encode_ucomp(memoryless(5), x)
+
+    def test_total_over_capacity(self):
+        # 2 * 2^62 + k would wrap in int64 and slip under the check unclipped
+        for counts in ([[2**62, 0]], [[2**61, 0]], [[2**62 - 1, 2**62]]):
+            with pytest.raises(ValueError, match="capacity"):
+                ac_encode(KTCoderModel(MEM2, counts), [0, 1])
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_out_of_alphabet_symbol(self, k):
+        # numpy indexing would wrap -1 to the last symbol without the check
+        for fam in (memoryless(k), markov1(k)):
+            for bad in (-1, k):
+                with pytest.raises(ValueError):
+                    ac_encode(KTCoderModel(fam), [bad])
+                with pytest.raises(ValueError):
+                    ac_encode(KTCoderModel(fam), [0, bad])
 
 
 class TestUcomp:
