@@ -8,7 +8,6 @@ machine-readable JSON on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -25,17 +24,14 @@ EXIT_IO = 2
 EXIT_DECODE_FAILURE = 3
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+class _DeclaredFailure(Exception):
+    """ducompm found no unique candidate; ``main`` exits 3."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; remap to the validation code
     def error(self, message):
-        raise _CliError(EXIT_VALIDATION, message)
+        raise ValueError(message)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -43,7 +39,7 @@ def _read_bytes(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as e:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {e}") from e
+        raise OSError(f"cannot read {path}: {e}") from e
 
 
 def _write_bytes(path: str, data: bytes):
@@ -51,24 +47,15 @@ def _write_bytes(path: str, data: bytes):
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as e:
-        raise _CliError(EXIT_IO, f"cannot write {path}: {e}") from e
+        raise OSError(f"cannot write {path}: {e}") from e
 
 
 def _symbols_from_file(path: str, k: int) -> np.ndarray:
     data = _read_bytes(path)
     symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
     if symbols.size and symbols.max() >= k:
-        raise _CliError(
-            EXIT_VALIDATION, f"{path} holds symbol {int(symbols.max())} >= alphabet size --k {k}"
-        )
+        raise ValueError(f"{path} holds symbol {int(symbols.max())} >= alphabet size --k {k}")
     return symbols
-
-
-def _family(args) -> SourceFamily:
-    try:
-        return SourceFamily(args.family, args.k)
-    except ValueError as e:
-        raise _CliError(EXIT_VALIDATION, f"--family/--k: {e}") from e
 
 
 def _workers(args) -> int:
@@ -80,23 +67,23 @@ def _workers(args) -> int:
     try:
         return max(1, int(env))
     except ValueError as e:
-        raise _CliError(EXIT_VALIDATION, f"UCDIS_THREADS must be an integer, got {env!r}") from e
+        raise ValueError(f"UCDIS_THREADS must be an integer, got {env!r}") from e
 
 
 def cmd_bounds(args) -> int:
-    family = _family(args)
+    family = SourceFamily(args.family, args.k)
     mode = args.mode
     if args.strategy == "ucomp":
         breakdown = bounds.redundancy_ucomp(family, args.n)
     elif args.strategy == "ucompm":
         if args.m is None:
-            raise _CliError(EXIT_VALIDATION, "--m is required for strategy ucompm")
+            raise ValueError("--m is required for strategy ucompm")
         breakdown = bounds.redundancy_ucompm(family.d, args.n, args.m)
     else:
         if args.m is None:
-            raise _CliError(EXIT_VALIDATION, "--m is required for strategy ducompm")
+            raise ValueError("--m is required for strategy ducompm")
         if args.pe is None:
-            raise _CliError(EXIT_VALIDATION, "--pe is required for strategy ducompm")
+            raise ValueError("--pe is required for strategy ducompm")
         breakdown = bounds.redundancy_ducompm(family, args.n, args.m, args.pe, mode)
     doc = {
         "strategy": breakdown.strategy,
@@ -123,31 +110,30 @@ def cmd_figure(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    family = _family(args)
+    family = SourceFamily(args.family, args.k)
     if args.k > 256:
-        raise _CliError(EXIT_VALIDATION, f"--k {args.k}: files hold one byte per symbol, so k <= 256")
+        raise ValueError(f"--k {args.k}: files hold one byte per symbol, so k <= 256")
     x = _symbols_from_file(args.infile, args.k)
     if args.strategy == "ucomp":
         payload = codec.encode_ucomp(family, x)
         m, p_e = 0, 0.0
     elif args.strategy == "ucompm":
         if args.memory is None:
-            raise _CliError(EXIT_VALIDATION, "--memory is required for strategy ucompm")
+            raise ValueError("--memory is required for strategy ucompm")
         y = _symbols_from_file(args.memory, args.k)
         payload = codec.encode_ucompm(family, y, x)
         m, p_e = y.size, 0.0
     else:
         if args.memory is not None:
-            raise _CliError(
-                EXIT_VALIDATION,
-                "ducompm encoding must not see the memory sequence; pass --memory-len instead",
+            raise ValueError(
+                "ducompm encoding must not see the memory sequence; pass --memory-len instead"
             )
         if args.memory_len is None:
-            raise _CliError(EXIT_VALIDATION, "--memory-len is required for strategy ducompm")
+            raise ValueError("--memory-len is required for strategy ducompm")
         if args.pe is None:
-            raise _CliError(EXIT_VALIDATION, "--pe is required for strategy ducompm")
+            raise ValueError("--pe is required for strategy ducompm")
         if family.kind != MEMORYLESS:
-            raise _CliError(EXIT_VALIDATION, "ducompm supports only --family memoryless")
+            raise ValueError("ducompm supports only --family memoryless")
         cfg = ducompm.DucompmConfig(
             k=args.k, m=args.memory_len, p_e=args.pe, hash_seed=args.seed
         )
@@ -167,84 +153,48 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    blob = _read_bytes(args.infile)
-    try:
-        container = codec.unpack_container(blob)
-        family = SourceFamily(container.family_kind, container.k)
-    except ValueError as e:  # FramingError included
-        raise _CliError(EXIT_VALIDATION, f"{args.infile}: {e}") from e
+    container = codec.unpack_container(_read_bytes(args.infile))
+    family = SourceFamily(container.family_kind, container.k)
     if container.k > 256:
-        raise _CliError(
-            EXIT_VALIDATION,
-            f"{args.infile}: alphabet size k={container.k} does not fit one byte per output symbol",
+        raise ValueError(
+            f"{args.infile}: alphabet size k={container.k} does not fit one byte per output symbol"
         )
     if container.strategy != "ducompm":
         if container.strategy == "ucompm":
             if args.memory is None:
-                raise _CliError(EXIT_VALIDATION, "--memory is required to decode a ucompm container")
+                raise ValueError("--memory is required to decode a ucompm container")
             y = _symbols_from_file(args.memory, container.k)
             if y.size != container.m:
-                raise _CliError(
-                    EXIT_VALIDATION,
-                    f"memory length {y.size} does not match container m={container.m}",
-                )
-        try:
-            if container.strategy == "ucomp":
-                x = codec.decode_ucomp(family, container.payload, container.n)
-            else:
-                x = codec.decode_ucompm(family, y, container.payload, container.n)
-        except codec.FramingError as e:
-            raise _CliError(EXIT_VALIDATION, f"{args.infile}: {e}") from e
+                raise ValueError(f"memory length {y.size} does not match container m={container.m}")
+        if container.strategy == "ucomp":
+            x = codec.decode_ucomp(family, container.payload, container.n)
+        else:
+            x = codec.decode_ucompm(family, y, container.payload, container.n)
     else:
         if family.kind != MEMORYLESS:
-            raise _CliError(
-                EXIT_VALIDATION,
+            raise ValueError(
                 f"{args.infile}: ducompm container of family {family.kind}; "
-                "ducompm supports only memoryless sources",
+                "ducompm supports only memoryless sources"
             )
         if args.memory is None:
-            raise _CliError(EXIT_VALIDATION, "--memory is required to decode a ducompm container")
+            raise ValueError("--memory is required to decode a ducompm container")
         y = _symbols_from_file(args.memory, container.k)
         cfg = ducompm.DucompmConfig(
             k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
         )
         outcome = ducompm.decode_ducompm(container.payload, y, container.n, cfg)
         if not outcome.ok:
-            raise _CliError(EXIT_DECODE_FAILURE, f"declared decode failure: {outcome.failure_reason}")
+            raise _DeclaredFailure(f"declared decode failure: {outcome.failure_reason}")
         x = outcome.sequence
     _write_bytes(args.out, bytes(np.asarray(x, dtype=np.uint8)))
     return EXIT_OK
 
 
-# JSON config key -> ExperimentConfig field; the config file says "family"
-_CONFIG_KEYS = {
-    "family" if f.name == "family_kind" else f.name: f.name
-    for f in dataclasses.fields(harness.ExperimentConfig)
-}
-
-
-def _tuples(value):
-    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
-
-
 def _load_config(path: str, trials_override) -> harness.ExperimentConfig:
-    raw = _read_bytes(path)
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise _CliError(EXIT_VALIDATION, f"{path}: invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise _CliError(EXIT_VALIDATION, f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        raise _CliError(EXIT_VALIDATION, f"{path}: unknown config fields: {', '.join(unknown)}")
-    kwargs = {_CONFIG_KEYS[key]: _tuples(value) for key, value in doc.items()}
-    if trials_override is not None:
-        kwargs["trials"] = trials_override
-    try:
-        cfg = harness.ExperimentConfig(**kwargs)
-    except TypeError as e:  # a missing field
-        raise _CliError(EXIT_VALIDATION, f"{path}: {e}") from e
+    doc = json.loads(_read_bytes(path))
+    if trials_override is not None and isinstance(doc, dict):
+        doc["trials"] = trials_override
+    cfg = harness.ExperimentConfig.from_json(doc)
     cfg.validate()
     return cfg
 
@@ -302,14 +252,16 @@ def _build_parser() -> _Parser:
     e.add_argument("--memory", help="memory sequence file (ucompm only)")
     e.add_argument("--memory-len", type=int, help="memory length m (ducompm only)")
     e.add_argument("--pe", type=float, help="permissible error probability (ducompm)")
-    e.add_argument("--seed", type=int, default=0x5EED, help="shared hash seed (ducompm)")
+    e.add_argument("--seed", type=int, default=ducompm.DEFAULT_HASH_SEED,
+                   help="shared hash seed (ducompm)")
     e.set_defaults(func=cmd_encode)
 
     d = sub.add_parser("decode", help="decode a container file")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
     d.add_argument("--memory", help="memory sequence file (ucompm and ducompm)")
-    d.add_argument("--seed", type=int, default=0x5EED, help="shared hash seed (ducompm)")
+    d.add_argument("--seed", type=int, default=ducompm.DEFAULT_HASH_SEED,
+                   help="shared hash seed (ducompm)")
     d.set_defaults(func=cmd_decode)
 
     for name, fn in (("experiment", cmd_experiment), ("coverage", cmd_coverage)):
@@ -332,8 +284,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as e:
-        code, message = e.code, e.message
+    except _DeclaredFailure as e:
+        code, message = EXIT_DECODE_FAILURE, str(e)
     except (ValueError, ducompm.ResourceLimitError) as e:
         code, message = EXIT_VALIDATION, str(e)
     except OSError as e:

@@ -30,7 +30,7 @@ from .sources import SourceFamily, _validate_sequence, fisher_info, smoothed_est
 
 MERSENNE61 = (1 << 61) - 1
 
-DEFAULT_INFLATION = 1.0
+DEFAULT_HASH_SEED = 0x5EED
 DEFAULT_CANDIDATE_CAP = 10_000_000
 
 
@@ -43,15 +43,16 @@ class ResourceLimitError(RuntimeError):
 class DucompmConfig:
     """Shared offline parameters (the wire carries none of these).
 
-    ``collision_budget`` defaults to p_e: the hash is sized so that a wrong
-    in-ellipsoid type collides with probability at most the budget.
+    ``collision_budget`` beta defaults to p_e and is the only hash-width
+    knob: the encoder counts N candidate types and sends
+    b = ceil(log2(N / beta)) hash bits, so a wrong in-ellipsoid type survives
+    the hash with probability at most beta in total.
     """
 
     k: int
     m: int
     p_e: float
-    hash_seed: int = 0x5EED
-    inflation: float = DEFAULT_INFLATION
+    hash_seed: int = DEFAULT_HASH_SEED
     collision_budget: float | None = None
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
@@ -65,8 +66,6 @@ class DucompmConfig:
                 f"p_e must lie in (0,1), got {self.p_e}; "
                 "for p_e = 0 use the strictly lossless ucomp path"
             )
-        if not 1.0 <= self.inflation < math.inf:
-            raise ValueError(f"inflation must be finite and >= 1, got {self.inflation}")
         if self.collision_budget is not None and not (0.0 < self.collision_budget < 1.0):
             raise ValueError("collision_budget must lie in (0,1)")
 
@@ -433,17 +432,16 @@ def hash_length(x, config: DucompmConfig) -> int:
 
     The encoder builds a surrogate ellipsoid centered at its own smoothed
     estimate with the decoder's (r, threshold) recipe, counts the candidate
-    types N inside, and uses b = ceil(log2(inflation * N / collision_budget))
-    bits: enough to separate inflation * N candidates (inflation covers the
-    center mismatch against the decoder's ellipsoid) while a wrong candidate
-    survives the hash with probability at most the budget.
+    types N inside, and uses b = ceil(log2(N / beta)) bits, beta being the
+    collision budget (p_e unless set): each of about N wrong candidates
+    survives the hash with probability 2^-b, at most beta / N.
     """
     x = _validate_sequence(x, config.k)
     n = x.size
     budget = config.p_e if config.collision_budget is None else config.collision_budget
     surrogate = _ellipsoid(x, n, config.m, config.p_e, config.k)
     n_hat = max(1, count_types_in_ellipsoid(surrogate, n, config.k, cap=config.candidate_cap))
-    b = max(1, math.ceil(math.log2(config.inflation * n_hat / budget)))
+    b = max(1, math.ceil(math.log2(n_hat / budget)))
     if b > 64:
         raise ValueError(
             f"required hash width {b} exceeds 64 bits "

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -62,8 +62,20 @@ def _is_numbers(v) -> bool:
     )
 
 
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _json_key(name: str) -> str:
+    # the config file says "family" for family_kind
+    return "family" if name == "family_kind" else name
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One Monte Carlo run.  Giving ``theta`` fixes the source parameter;
+    leaving it out draws theta from the Jeffreys prior in every trial."""
+
     family_kind: str
     k: int
     n: int
@@ -72,10 +84,8 @@ class ExperimentConfig:
     strategies: tuple[str, ...]
     trials: int
     master_seed: int
-    theta_mode: str = "jeffreys"
     theta: tuple | None = None
-    hash_seed: int = 0x5EED
-    inflation: float = ducompm.DEFAULT_INFLATION
+    hash_seed: int = ducompm.DEFAULT_HASH_SEED
     collision_budget: float | None = None
     candidate_cap: int = ducompm.DEFAULT_CANDIDATE_CAP
 
@@ -85,7 +95,7 @@ class ExperimentConfig:
         for name in ("k", "n", "m", "trials", "master_seed", "hash_seed", "candidate_cap"):
             if not _is_int(getattr(self, name)):
                 errs.append(f"{name}: must be an integer, got {getattr(self, name)!r}")
-        for name in ("p_e", "inflation", "collision_budget"):
+        for name in ("p_e", "collision_budget"):
             value = getattr(self, name)
             if not (_is_real(value) or (value is None and name == "collision_budget")):
                 errs.append(f"{name}: must be a number, got {value!r}")
@@ -124,23 +134,34 @@ class ExperimentConfig:
                 self.ducompm_config()
             except ValueError as e:
                 errs.append(f"ducompm: {e}")
-        if self.theta_mode not in ("jeffreys", "fixed"):
-            errs.append(f"theta_mode: must be 'jeffreys' or 'fixed', got {self.theta_mode!r}")
-        if self.theta_mode == "fixed":
-            if self.theta is None:
-                errs.append("theta: required when theta_mode is 'fixed'")
-            else:
-                try:
-                    if self.family_kind in (MEMORYLESS, MARKOV1) and self.k >= 2:
-                        validate_theta(SourceFamily(self.family_kind, self.k), np.asarray(self.theta))
-                except ValueError as e:
-                    errs.append(f"theta: {e}")
-        elif self.theta is not None:
-            errs.append("theta: only allowed when theta_mode is 'fixed'")
+        if self.theta is not None and self.family_kind in (MEMORYLESS, MARKOV1) and self.k >= 2:
+            try:
+                validate_theta(SourceFamily(self.family_kind, self.k), np.asarray(self.theta))
+            except ValueError as e:
+                errs.append(f"theta: {e}")
         if self.candidate_cap < 1:
             errs.append(f"candidate_cap: must be >= 1, got {self.candidate_cap}")
         if errs:
             raise ValidationError(errs)
+
+    @classmethod
+    def from_json(cls, doc) -> ExperimentConfig:
+        """The config read from its JSON form (see ``to_json``): unknown and
+        missing keys raise ValidationError; ``validate`` checks the values."""
+        if not isinstance(doc, dict):
+            raise ValidationError([f"config: must be a JSON object, got {type(doc).__name__}"])
+        by_key = {_json_key(f.name): f for f in fields(cls)}
+        errs = [f"{key}: unknown config field" for key in sorted(set(doc) - set(by_key))]
+        errs += [f"{key}: missing config field" for key, f in by_key.items()
+                 if key not in doc and f.default is MISSING]
+        if errs:
+            raise ValidationError(errs)
+        return cls(**{by_key[key].name: _tuples(value) for key, value in doc.items()})
+
+    def to_json(self) -> dict:
+        """The config file's form, with "family" for ``family_kind`` (json
+        writes the tuples as lists); ``from_json`` reads it back unchanged."""
+        return {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
 
     def ducompm_config(self) -> ducompm.DucompmConfig:
         return ducompm.DucompmConfig(
@@ -148,7 +169,6 @@ class ExperimentConfig:
             m=self.m,
             p_e=self.p_e,
             hash_seed=self.hash_seed,
-            inflation=self.inflation,
             collision_budget=self.collision_budget,
             candidate_cap=self.candidate_cap,
         )
@@ -195,7 +215,7 @@ def _draw(cfg: ExperimentConfig, t: int, need_memory: bool = True):
     seed draw theta, the memory y (None unless ``need_memory``) and x."""
     family = SourceFamily(cfg.family_kind, cfg.k)
     trial_seed = split_seed(cfg.master_seed, t)
-    if cfg.theta_mode == "fixed":
+    if cfg.theta is not None:
         theta = validate_theta(family, np.asarray(cfg.theta, dtype=np.float64))
     else:
         theta = sample_jeffreys(family, split_seed(trial_seed, 0))
@@ -357,7 +377,7 @@ def emit_json(result, path, config: ExperimentConfig | None = None):
         doc = {"rows": [asdict(r) for r in result]}
     doc["rng_algorithm"] = RNG_ALGORITHM
     if config is not None:
-        doc["config"] = asdict(config)
+        doc["config"] = config.to_json()
     try:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)

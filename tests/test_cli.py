@@ -306,7 +306,7 @@ class TestExperimentCli:
         doc = {
             "family": "memoryless", "k": 2, "n": 150, "m": 300, "p_e": 0.1,
             "strategies": ["ucomp", "ucompm", "ducompm"], "trials": 25,
-            "master_seed": 5, "theta_mode": "jeffreys",
+            "master_seed": 5,
         }
         doc.update(overrides)
         path = tmp_path / "cfg.json"
@@ -329,6 +329,18 @@ class TestExperimentCli:
         doc = json.load(open(out))
         assert doc["config"]["k"] == 2
         assert len(doc["rows"]) == 1
+
+    def test_echoed_config_runs_again(self, capsys, tmp_path):
+        # a results file's config is itself a config file
+        cfg = self._config(tmp_path, theta=[0.3, 0.7], collision_budget=0.25, trials=6)
+        first, again = tmp_path / "rows.json", tmp_path / "again.json"
+        assert run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(first))[0] == 0
+        doc = json.loads(first.read_text())
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(doc["config"]))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(echo), "--out", str(again))
+        assert (code, err) == (0, "")
+        assert json.loads(again.read_text()) == doc
 
     def test_zero_trials(self, capsys, tmp_path):
         cfg = self._config(tmp_path)
@@ -367,7 +379,7 @@ class TestExperimentCli:
         (dict(theta=0.5), "theta"),
         (dict(trials=2.5), "trials"),
         (dict(n=20.0), "n"),
-        (dict(theta_mode="fixed", theta=[float("nan"), 0.5]), "theta"),
+        (dict(theta=[float("nan"), 0.5]), "theta"),
     ], ids=["ucompm-m0", "ucomp-n1", "inflation-half", "inflation-inf", "budget-2",
             "strategies-int", "theta-scalar", "trials-float", "n-float", "theta-nan"])
     def test_config_rejected_before_any_trial(self, capsys, tmp_path, monkeypatch, overrides,

@@ -429,6 +429,16 @@ class TestHashLength:
         assert (hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.001))
                 > hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.1)))
 
+    @pytest.mark.parametrize("budget", [None, 0.5, 1e-3])
+    def test_width_from_collision_budget(self, budget):
+        # b = ceil(log2(N / beta)), N the count in the encoder's surrogate
+        # ellipsoid (centered at its own sequence) and beta defaulting to p_e
+        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
+        n_hat = count_types_in_ellipsoid(ducompm._ellipsoid(x, 300, 3000, 0.05, 3), 300, 3)
+        beta = 0.05 if budget is None else budget
+        b = hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
+        assert b == max(1, math.ceil(math.log2(max(1, n_hat) / beta)))
+
 
 @st.composite
 def rank_cases(draw):

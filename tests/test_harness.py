@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -48,16 +50,39 @@ class TestValidation:
             small_cfg(family_kind="markov1").validate()
         assert any("memoryless" in f for f in exc.value.fields)
 
-    def test_fixed_theta_required(self):
+    def test_given_theta_validated(self):
+        with pytest.raises(ValidationError) as exc:
+            small_cfg(theta=(0.5, 0.6)).validate()
+        assert any(f.startswith("theta:") for f in exc.value.fields)
         with pytest.raises(ValidationError):
-            small_cfg(theta_mode="fixed").validate()
-        with pytest.raises(ValidationError):
-            small_cfg(theta=(0.5, 0.5)).validate()  # only valid in fixed mode
-        small_cfg(theta_mode="fixed", theta=(0.25, 0.75)).validate()
+            small_cfg(theta=(0.2, 0.3, 0.5)).validate()  # k = 2
+        small_cfg(theta=(0.25, 0.75)).validate()
 
     def test_ducompm_pe_range(self):
         with pytest.raises(ValidationError):
             small_cfg(p_e=0.0).validate()
+
+
+class TestConfigFile:
+    def test_readme_example_loads(self):
+        # the schema README documents, less its // comments, is a valid config
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("### Experiment config schema"):]
+        example = section[section.index("```json") + len("```json"):]
+        example = example[:example.index("```")]
+        doc = json.loads(re.sub(r"\s*//.*", "", example))
+        ExperimentConfig.from_json(doc).validate()
+
+    def test_unknown_and_missing_keys_named(self):
+        doc = small_cfg().to_json()
+        assert doc["family"] == "memoryless" and "family_kind" not in doc
+        del doc["k"]
+        doc["theta_mode"] = "fixed"
+        with pytest.raises(ValidationError) as exc:
+            ExperimentConfig.from_json(doc)
+        assert exc.value.fields == ["theta_mode: unknown config field", "k: missing config field"]
+        with pytest.raises(ValidationError, match="JSON object"):
+            ExperimentConfig.from_json([1, 2])
 
 
 class TestDeterminism:
@@ -111,7 +136,7 @@ class TestDeterminism:
 class TestSummaries:
     def test_zero_entropy_source(self):
         cfg = small_cfg(
-            strategies=("ucomp",), theta_mode="fixed", theta=(1.0, 0.0),
+            strategies=("ucomp",), theta=(1.0, 0.0),
             n=1000, trials=20,
         )
         row = run_experiment(cfg)[0]
@@ -202,6 +227,7 @@ class TestEmission:
         assert doc["config"]["master_seed"] == 11
         rebuilt = [SummaryRow(**row) for row in doc["rows"]]
         assert rebuilt == rows
+        assert ExperimentConfig.from_json(doc["config"]) == cfg
 
     def test_coverage_json(self, tmp_path):
         cfg = small_cfg(strategies=("ducompm",), trials=20)
