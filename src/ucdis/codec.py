@@ -10,8 +10,9 @@ exact rationals, keeping encoder and decoder states identical bit for bit.
 
 The encoder knows its input, so it reads every interval from the model's
 ``schedule``, which computes them from counts with numpy ahead of the coder
-loop.  The decoder learns each symbol only from the interval it locates, so
-it asks the model step by step: ``total``, ``locate``, then ``advance``.
+loop.  The decoder learns each symbol only from the interval it locates, and
+its loop makes no model call either: it reads and updates the model's tables,
+a Fenwick tree over the interval weights per context, in place.
 
 Universal coding without memory (ucomp) starts that model from empty counts;
 coding with a shared memory sequence (ucompm) starts it from the memory's
@@ -131,81 +132,78 @@ class BitReader:
 class KTCoderModel:
     """Adaptive KT model over a sequence; context = previous symbol for markov1.
 
-    Each context keeps its symbol counts, their total and a Fenwick tree over
-    the counts, which serves cumulative frequencies and symbol search in
-    O(log k).  ``counts``, a (contexts, k) array such as
+    Symbol a's interval in a context has weight w(a) = 2*count(a) + 1.  Each
+    context keeps its weight list and a Fenwick tree over the weights, padded
+    with weight 0 up to a power-of-two size: ``tree[i]`` sums the weights of
+    symbols i - (i & -i) .. i - 1, so the root ``tree[size]`` is the
+    context's total 2N + k.  ``counts``, a (contexts, k) array such as
     ``sources.context_counts`` returns, primes the model; the initial context
     is fixed to symbol 0 on both sides, also after priming.
+
+    ``ac_decode`` reads and updates these tables in place, with no method
+    call: ``trees`` and ``weights`` per context, ``steps`` = (size/2, ..., 1)
+    for the descent, and per symbol a the tree indices ``paths[a]`` that
+    coding a adds ``inc`` to, as it adds ``inc`` to w(a).
     """
 
-    __slots__ = ("k", "markov", "ctx", "_rows", "_totals", "_trees", "_tree", "_counts", "_size")
+    __slots__ = ("k", "markov", "ctx", "trees", "weights", "steps", "paths", "inc")
 
     def __init__(self, family: SourceFamily, counts=None):
         k = family.k
         self.k = k
         self.markov = family.kind == MARKOV1
         self.ctx = 0
-        size = 1
-        while size < k:
-            size <<= 1
-        self._size = size
+        self.inc = 2
+        size = 1 << (k - 1).bit_length()
         if counts is None:
             counts = np.zeros((k if self.markov else 1, k), np.int64)
-        rows = np.asarray(counts, np.int64)
-        # tree[i] sums the counts of symbols i - (i & -i) .. i - 1: a difference
-        # of prefix sums over the counts, padded with zeros to the tree size
-        pref = np.zeros((len(rows), size + 1), np.int64)
-        pref[:, 1 : k + 1] = rows
-        pref = pref.cumsum(axis=1)
+        # Unsigned, so that 2*count + 1 is exact for every int64 count.  The
+        # tree's nodes are differences of prefix sums over the padded weights.
+        w = np.zeros((len(counts), size + 1), np.uint64)
+        w[:, 1 : k + 1] = 2 * np.asarray(counts, np.int64).astype(np.uint64) + 1
+        pref = w.cumsum(axis=1)
         idx = np.arange(size + 1)
-        self._rows = rows.tolist()
-        self._totals = pref[:, size].tolist()
-        self._trees = (pref - pref[:, idx - (idx & -idx)]).tolist()
-        self._tree = self._trees[0]
-        self._counts = self._rows[0]
+        self.weights = w[:, 1 : k + 1].tolist()
+        self.trees = (pref - pref[:, idx - (idx & -idx)]).tolist()
+        self.steps = tuple(1 << b for b in reversed(range(size.bit_length() - 1)))
+        # up[i]: i and the indices above it, i + (i & -i), ... up to size
+        up = [()] * (2 * size + 1)
+        for i in range(size, 0, -1):
+            up[i] = (i,) + up[i + (i & -i)]
+        self.paths = tuple(up[1 : k + 1])
 
     def total(self) -> int:
-        return 2 * self._totals[self.ctx] + self.k
+        return self.trees[self.ctx][-1]
 
     def interval(self, symbol: int) -> tuple[int, int]:
-        tree = self._tree
-        pre = 0
+        tree = self.trees[self.ctx]
+        lo = 0
         i = symbol
         while i:
-            pre += tree[i]
+            lo += tree[i]
             i -= i & (-i)
-        lo = 2 * pre + symbol
-        return lo, lo + 2 * self._counts[symbol] + 1
+        return lo, lo + self.weights[self.ctx][symbol]
 
     def locate(self, target: int) -> tuple[int, int, int]:
-        tree = self._tree
+        tree = self.trees[self.ctx]
         pos = 0
         rem = target
-        bit = self._size
-        while bit:
-            nxt = pos + bit
-            if nxt <= self._size:
-                w = 2 * tree[nxt] + bit
-                if w <= rem:
-                    rem -= w
-                    pos = nxt
-            bit >>= 1
+        for step in self.steps:
+            w = tree[pos + step]
+            if w <= rem:
+                rem -= w
+                pos += step
         lo = target - rem
-        return pos, lo, lo + 2 * self._counts[pos] + 1
+        return pos, lo, lo + self.weights[self.ctx][pos]
 
     def advance(self, symbol: int):
-        self._counts[symbol] += 1
-        self._totals[self.ctx] += 1
-        tree = self._tree
-        size = self._size
-        i = symbol + 1
-        while i <= size:
-            tree[i] += 1
-            i += i & (-i)
+        tree = self.trees[self.ctx]
+        inc = self.inc
+        for i in self.paths[symbol]:
+            tree[i] += inc
+        self.weights[self.ctx][symbol] += inc
         if self.markov:
             self.ctx = symbol
-            self._tree = self._trees[symbol]
-            self._counts = self._rows[symbol]
 
     def schedule(self, symbols):
         """Yield the coder intervals of ``symbols`` as int64 arrays (lo, hi, total),
@@ -224,7 +222,8 @@ class KTCoderModel:
         x = _validate_sequence(symbols, self.k)
         k = self.k
         bits = (k - 1).bit_length()
-        rows = np.array(self._rows, dtype=np.int64)
+        # the counts (w - 1) / 2, read as unsigned because w can pass 2^63
+        rows = (np.array(self.weights, np.uint64) >> 1).astype(np.int64)
         # (c, x) packed as c << bits | x, in the narrowest unsigned type:
         # numpy's stable argsort is a radix sort on 8- and 16-bit keys
         key_type = np.min_scalar_type((len(rows) << bits) - 1)
@@ -315,6 +314,13 @@ def ac_encode(model, symbols) -> BitStream:
 def ac_decode(model, bits: BitStream, n: int):
     """Decode ``n`` symbols; the model must mirror the encoder's updates.
 
+    The coder loop makes no model call.  It reads the model's tables, as
+    ``KTCoderModel`` lays them out, and updates them in place as ``advance``
+    would: it keeps the current context's tree and weights in locals, finds
+    each symbol by a Fenwick descent over the tree, whose root is the total,
+    adds ``inc`` along the symbol's path and to its weight, and for markov1
+    switches to the decoded symbol's context.
+
     A stream the encoder wrote is consumed to exactly ``bit_length + 62``
     bits: the 64-bit preload and the renormalization reads match the encoder's
     output less its two termination bits.  Reading past that, or stopping
@@ -331,15 +337,26 @@ def ac_decode(model, bits: BitStream, n: int):
     high = _MASK
     out = []
     append = out.append
-    total = model.total
-    locate = model.locate
-    advance = model.advance
+    trees, weight_rows, markov = model.trees, model.weights, model.markov
+    steps, paths, inc = model.steps, model.paths, model.inc
+    tree = trees[model.ctx]
+    weights = weight_rows[model.ctx]
+    top = len(tree) - 1
     for _ in range(n):
-        t = total()
+        t = tree[top]
         span = high - low + 1
         target = ((code - low + 1) * t - 1) // span
-        s, lo, hi = locate(target)
-        high = low + span * hi // t - 1
+        # s ends as the last symbol whose interval starts at or below target.
+        # steps leave out top itself: target < t = tree[top] never takes it.
+        s = 0
+        rem = target
+        for step in steps:
+            w = tree[s + step]
+            if w <= rem:
+                rem -= w
+                s += step
+        lo = target - rem
+        high = low + span * (lo + weights[s]) // t - 1
         low = low + span * lo // t
         nb = _STATE_BITS - (low ^ high).bit_length()
         if nb:
@@ -359,8 +376,15 @@ def ac_decode(model, bits: BitStream, n: int):
             raise FramingError(
                 f"payload of {bits.bit_length} bits overrun after {len(out) + 1} of {n} symbols"
             )
-        advance(s)
+        for i in paths[s]:
+            tree[i] += inc
+        weights[s] += inc
+        if markov:
+            tree = trees[s]
+            weights = weight_rows[s]
         append(s)
+    if markov and out:
+        model.ctx = out[-1]
     if used != limit:
         raise FramingError(
             f"{n} symbols used {used - _STATE_BITS + 2} of {bits.bit_length} payload bits"

@@ -107,7 +107,7 @@ class ExperimentConfig:
         if errs:
             raise ValidationError(errs)
         if self.family_kind not in (MEMORYLESS, MARKOV1):
-            errs.append(f"family_kind: unknown {self.family_kind!r}")
+            errs.append(f"family: unknown {self.family_kind!r}")
         if self.k < 2:
             errs.append(f"k: must be >= 2, got {self.k}")
         if self.n < 1:
@@ -324,7 +324,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> CoverageReport:
     cfg.validate()
     errs = []
     if cfg.family_kind != MEMORYLESS:
-        errs.append("family_kind: coverage runs require the memoryless family")
+        errs.append("family: coverage runs require the memoryless family")
     if not (0.0 < cfg.p_e < 1.0):
         errs.append("p_e: coverage runs require 0 < p_e < 1")
     if cfg.m < 1:

@@ -18,9 +18,16 @@ from ucdis.sources import SourceFamily, context_counts
 
 
 class FixedModel:
-    """Non-adaptive integer-frequency model (known-parameter coding)."""
+    """Non-adaptive integer-frequency model (known-parameter coding).
 
-    __slots__ = ("freqs", "cum")
+    Besides the step-by-step ``total``/``interval``/``locate``/``advance``
+    interface, it carries the tables that ``ac_decode``'s loop reads, laid
+    out as ``KTCoderModel``'s: one context, a Fenwick tree over the
+    frequencies padded with 0 to a power-of-two size, and an increment of 0,
+    so no tree index changes as symbols are coded.
+    """
+
+    __slots__ = ("freqs", "cum", "trees", "weights", "steps", "paths", "inc", "markov", "ctx")
 
     def __init__(self, freqs):
         self.freqs = [int(f) for f in freqs]
@@ -29,6 +36,20 @@ class FixedModel:
         self.cum = [0]
         for f in self.freqs:
             self.cum.append(self.cum[-1] + f)
+        size = 1 << (len(self.freqs) - 1).bit_length()
+        tree = [0] * (size + 1)
+        for a, f in enumerate(self.freqs):
+            i = a + 1
+            while i <= size:
+                tree[i] += f
+                i += i & -i
+        self.trees = [tree]
+        self.weights = [self.freqs]
+        self.steps = tuple(1 << b for b in reversed(range(size.bit_length() - 1)))
+        self.paths = ((),) * len(self.freqs)
+        self.inc = 0
+        self.markov = False
+        self.ctx = 0
 
     def total(self) -> int:
         return self.cum[-1]

@@ -359,6 +359,12 @@ class TestExperimentCli:
                                "--out", str(tmp_path / "o.csv"))
         assert code == 1 and "bogus_field" in err
 
+    def test_unknown_family_named_as_in_the_file(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, family="x")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                               "--out", str(tmp_path / "o.csv"))
+        assert code == 1 and "family: unknown 'x'" in err and "family_kind" not in err
+
     def test_candidate_cap_exceeded(self, capsys, tmp_path):
         cfg = self._config(tmp_path, k=3, n=30, m=300, candidate_cap=1, trials=2)
         for mode in ([], ["--json"]):

@@ -156,6 +156,29 @@ class TestArithmeticCoder:
             bits = codec.encode_ucomp(MEM4, x)
             assert np.array_equal(codec.decode_ucomp(MEM4, bits, 5000), x), f"seed {seed}"
 
+    @pytest.mark.parametrize("kind,k", [(MEMORYLESS, 3), (MARKOV1, 16)])
+    def test_decoder_loop_makes_no_model_call(self, kind, k):
+        class TablesOnly(KTCoderModel):
+            __slots__ = ()
+
+            def total(self):
+                raise AssertionError("total() called")
+
+            interval = locate = advance = total
+
+        fam = SourceFamily(kind, k)
+        rng = np.random.default_rng(k)
+        x = rng.integers(0, k, size=2000).tolist()
+        counts = None if kind == MARKOV1 else context_counts(fam, rng.integers(0, k, 3000))
+        bits = ac_encode(KTCoderModel(fam, counts), x)
+        model = TablesOnly(fam, counts)
+        assert ac_decode(model, bits, len(x)) == x
+        # the tables are left where advance() leaves them
+        stepped = KTCoderModel(fam, counts)
+        for s in x:
+            stepped.advance(s)
+        assert (model.trees, model.weights, model.ctx) == (stepped.trees, stepped.weights, stepped.ctx)
+
     def test_zero_frequency_symbol_rejected(self):
         with pytest.raises(ValueError):
             ac_encode(FixedModel([1, 0]), [1])

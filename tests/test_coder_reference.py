@@ -61,7 +61,9 @@ def reference_encode(model, symbols) -> BitStream:
     return pack_bits(out)
 
 
-def reference_decode(model, stream: BitStream, n: int):
+def reference_decode(model, stream: BitStream, n: int, ends=None):
+    """Decode ``n`` symbols with no framing check; ``ends``, if given, gets
+    the number of bits read after each symbol."""
     pos = 64
     code = 0
     for i in range(64):
@@ -86,6 +88,8 @@ def reference_decode(model, stream: BitStream, n: int):
             high = ((high << 1) & _HALF_MASK) | _TOP | 1
         model.advance(s)
         out.append(s)
+        if ends is not None:
+            ends.append(pos)
     return out
 
 
@@ -122,6 +126,29 @@ class TestCoderAgainstReference:
         assert bits == reference_encode(model(), x)
         assert codec.ac_decode(model(), bits, len(x)) == x
         assert reference_decode(model(), bits, len(x)) == x
+
+    @settings(max_examples=300)
+    @given(coded_inputs(), st.binary(max_size=64).flatmap(lambda data: st.tuples(
+        st.just(data), st.integers(0, 8 * len(data)))), st.integers(0, 500))
+    def test_forged_stream(self, case, payload, n):
+        # Streams the encoder never wrote reach the zero-weight padding (k not
+        # a power of two) and zero-frequency symbols.  The decoder returns
+        # exactly when it reads bit_length + 62 bits, and then what the
+        # reference decodes; otherwise it rejects the framing.
+        model, _ = case
+        stream = BitStream(*payload)
+        ends = []
+        ref = reference_decode(model(), stream, n, ends)
+        limit = stream.bit_length + 62
+        consumed = [64] + ends
+        # n, and the shortest decode, if any, that reads exactly to the limit
+        for m in {n, next((m for m, c in enumerate(consumed) if c == limit), n)}:
+            try:
+                out = codec.ac_decode(model(), stream, m)
+            except codec.FramingError:
+                assert consumed[m] != limit
+            else:
+                assert consumed[m] == limit and out == ref[:m]
 
     def test_long_pending_runs(self):
         # The middle symbol owns exactly the middle half: every symbol adds one
