@@ -19,7 +19,7 @@ from .bounds import (
     redundancy_ucomp,
     redundancy_ucompm,
 )
-from .codec import BitStream, decode_ucomp, decode_ucompm, encode_ucomp, encode_ucompm
+from .codec import BitStream, decode_ucompm, encode_ucompm
 from .ducompm import DucompmConfig, decode_ducompm, encode_ducompm
 from .harness import CoverageReport, ExperimentConfig, SummaryRow, run_coverage, run_experiment
 from .sources import SourceFamily, markov1, memoryless

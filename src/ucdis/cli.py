@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -59,15 +58,11 @@ def _symbols_from_file(path: str, k: int) -> np.ndarray:
 
 
 def _workers(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("UCDIS_THREADS")
-    if not env:
+    if args.threads is None:
         return 1
-    try:
-        return max(1, int(env))
-    except ValueError as e:
-        raise ValueError(f"UCDIS_THREADS must be an integer, got {env!r}") from e
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def cmd_bounds(args) -> int:
@@ -114,15 +109,14 @@ def cmd_encode(args) -> int:
     if args.k > 256:
         raise ValueError(f"--k {args.k}: files hold one byte per symbol, so k <= 256")
     x = _symbols_from_file(args.infile, args.k)
-    if args.strategy == "ucomp":
-        payload = codec.encode_ucomp(family, x)
-        m, p_e = 0, 0.0
-    elif args.strategy == "ucompm":
-        if args.memory is None:
-            raise ValueError("--memory is required for strategy ucompm")
-        y = _symbols_from_file(args.memory, args.k)
+    if args.strategy != "ducompm":
+        y = ()
+        if args.strategy == "ucompm":
+            if args.memory is None:
+                raise ValueError("--memory is required for strategy ucompm")
+            y = _symbols_from_file(args.memory, args.k)
         payload = codec.encode_ucompm(family, y, x)
-        m, p_e = y.size, 0.0
+        m, p_e = len(y), 0.0
     else:
         if args.memory is not None:
             raise ValueError(
@@ -159,26 +153,21 @@ def cmd_decode(args) -> int:
         raise ValueError(
             f"{args.infile}: alphabet size k={container.k} does not fit one byte per output symbol"
         )
+    y = ()
+    if container.strategy != "ucomp":
+        if args.memory is None:
+            raise ValueError(f"--memory is required to decode a {container.strategy} container")
+        y = _symbols_from_file(args.memory, container.k)
+        if y.size != container.m:
+            raise ValueError(f"memory length {y.size} does not match container m={container.m}")
     if container.strategy != "ducompm":
-        if container.strategy == "ucompm":
-            if args.memory is None:
-                raise ValueError("--memory is required to decode a ucompm container")
-            y = _symbols_from_file(args.memory, container.k)
-            if y.size != container.m:
-                raise ValueError(f"memory length {y.size} does not match container m={container.m}")
-        if container.strategy == "ucomp":
-            x = codec.decode_ucomp(family, container.payload, container.n)
-        else:
-            x = codec.decode_ucompm(family, y, container.payload, container.n)
+        x = codec.decode_ucompm(family, y, container.payload, container.n)
     else:
         if family.kind != MEMORYLESS:
             raise ValueError(
                 f"{args.infile}: ducompm container of family {family.kind}; "
                 "ducompm supports only memoryless sources"
             )
-        if args.memory is None:
-            raise ValueError("--memory is required to decode a ducompm container")
-        y = _symbols_from_file(args.memory, container.k)
         cfg = ducompm.DucompmConfig(
             k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
         )
@@ -269,7 +258,7 @@ def _build_parser() -> _Parser:
         c.add_argument("--config", required=True)
         c.add_argument("--out", required=True)
         c.add_argument("--trials", type=int, help="override the config's trial count")
-        c.add_argument("--threads", type=int, help="worker processes (default UCDIS_THREADS or 1)")
+        c.add_argument("--threads", type=int, help="worker processes (default 1)")
         c.set_defaults(func=fn)
 
     return p

@@ -14,9 +14,9 @@ loop.  The decoder learns each symbol only from the interval it locates, and
 its loop makes no model call either: it reads and updates the model's tables,
 a Fenwick tree over the interval weights per context, in place.
 
-Universal coding without memory (ucomp) starts that model from empty counts;
-coding with a shared memory sequence (ucompm) starts it from the memory's
-counts on both sides.
+Coding with a shared memory sequence (ucompm) starts that model from the
+memory's counts on both sides; an empty memory gives universal coding without
+memory (ucomp), from zero counts.
 """
 
 from __future__ import annotations
@@ -140,13 +140,12 @@ class KTCoderModel:
     ``sources.context_counts`` returns, primes the model; the initial context
     is fixed to symbol 0 on both sides, also after priming.
 
-    ``ac_decode`` reads and updates these tables in place, with no method
-    call: ``trees`` and ``weights`` per context, ``steps`` = (size/2, ..., 1)
-    for the descent, and per symbol a the tree indices ``paths[a]`` that
-    coding a adds ``inc`` to, as it adds ``inc`` to w(a).
+    ``ac_decode`` reads and updates ``trees`` and ``weights`` in place, with
+    no method call: coding a adds ``inc`` to w(a) and to the tree nodes above
+    it.  The tree size, ``len(tree) - 1``, fixes the descent and those nodes.
     """
 
-    __slots__ = ("k", "markov", "ctx", "trees", "weights", "steps", "paths", "inc")
+    __slots__ = ("k", "markov", "ctx", "trees", "weights", "inc")
 
     def __init__(self, family: SourceFamily, counts=None):
         k = family.k
@@ -165,12 +164,6 @@ class KTCoderModel:
         idx = np.arange(size + 1)
         self.weights = w[:, 1 : k + 1].tolist()
         self.trees = (pref - pref[:, idx - (idx & -idx)]).tolist()
-        self.steps = tuple(1 << b for b in reversed(range(size.bit_length() - 1)))
-        # up[i]: i and the indices above it, i + (i & -i), ... up to size
-        up = [()] * (2 * size + 1)
-        for i in range(size, 0, -1):
-            up[i] = (i,) + up[i + (i & -i)]
-        self.paths = tuple(up[1 : k + 1])
 
     def total(self) -> int:
         return self.trees[self.ctx][-1]
@@ -188,19 +181,23 @@ class KTCoderModel:
         tree = self.trees[self.ctx]
         pos = 0
         rem = target
-        for step in self.steps:
+        step = len(tree) >> 1  # size / 2, as len(tree) = size + 1
+        while step:
             w = tree[pos + step]
             if w <= rem:
                 rem -= w
                 pos += step
+            step >>= 1
         lo = target - rem
         return pos, lo, lo + self.weights[self.ctx][pos]
 
     def advance(self, symbol: int):
         tree = self.trees[self.ctx]
         inc = self.inc
-        for i in self.paths[symbol]:
+        i = symbol + 1
+        while i < len(tree):
             tree[i] += inc
+            i += i & -i
         self.weights[self.ctx][symbol] += inc
         if self.markov:
             self.ctx = symbol
@@ -318,8 +315,9 @@ def ac_decode(model, bits: BitStream, n: int):
     ``KTCoderModel`` lays them out, and updates them in place as ``advance``
     would: it keeps the current context's tree and weights in locals, finds
     each symbol by a Fenwick descent over the tree, whose root is the total,
-    adds ``inc`` along the symbol's path and to its weight, and for markov1
-    switches to the decoded symbol's context.
+    adds ``inc`` to its weight and to the tree nodes above it, and for
+    markov1 switches to the decoded symbol's context.  The descent steps and
+    the nodes above each symbol follow from the tree size, once per call.
 
     A stream the encoder wrote is consumed to exactly ``bit_length + 62``
     bits: the 64-bit preload and the renormalization reads match the encoder's
@@ -338,10 +336,15 @@ def ac_decode(model, bits: BitStream, n: int):
     out = []
     append = out.append
     trees, weight_rows, markov = model.trees, model.weights, model.markov
-    steps, paths, inc = model.steps, model.paths, model.inc
+    inc = model.inc
     tree = trees[model.ctx]
     weights = weight_rows[model.ctx]
     top = len(tree) - 1
+    steps = [1 << b for b in reversed(range(top.bit_length() - 1))]
+    # up[i]: i and the nodes above it, i + (i & -i), ... up to top
+    up = [()] * (2 * top + 1)
+    for i in range(top, 0, -1):
+        up[i] = (i,) + up[i + (i & -i)]
     for _ in range(n):
         t = tree[top]
         span = high - low + 1
@@ -376,7 +379,7 @@ def ac_decode(model, bits: BitStream, n: int):
             raise FramingError(
                 f"payload of {bits.bit_length} bits overrun after {len(out) + 1} of {n} symbols"
             )
-        for i in paths[s]:
+        for i in up[s + 1]:
             tree[i] += inc
         weights[s] += inc
         if markov:
@@ -397,18 +400,9 @@ def _primed_state(family: SourceFamily, y: np.ndarray) -> KTCoderModel:
     return KTCoderModel(family, context_counts(family, y, initial_context=0))
 
 
-def encode_ucomp(family: SourceFamily, x) -> BitStream:
-    """Universal coding from empty counts (no memory)."""
-    x = _validate_sequence(x, family.k)
-    return ac_encode(KTCoderModel(family), x)
-
-
-def decode_ucomp(family: SourceFamily, bits: BitStream, n: int) -> np.ndarray:
-    return np.array(ac_decode(KTCoderModel(family), bits, n), dtype=np.int64)
-
-
 def encode_ucompm(family: SourceFamily, y, x) -> BitStream:
-    """Universal coding with counts primed by the shared memory sequence y."""
+    """Universal coding with counts primed by the shared memory sequence y;
+    an empty memory is ucomp."""
     y = _validate_sequence(y, family.k)
     x = _validate_sequence(x, family.k)
     return ac_encode(_primed_state(family, y), x)

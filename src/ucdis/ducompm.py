@@ -25,7 +25,7 @@ import numpy as np
 
 from .codec import BitReader, BitStream, BitWriter, FramingError
 from .numerics import chi2_quantile_upper
-from .rng import GOLDEN, MASK64, mix64, mix64_array
+from .rng import MASK64, mix64, mix64_array, split_seed
 from .sources import SourceFamily, _validate_sequence, fisher_info, smoothed_estimate
 
 MERSENNE61 = (1 << 61) - 1
@@ -408,7 +408,7 @@ def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
 
 @lru_cache(maxsize=64)
 def _hash_multipliers(seed: int, k: int) -> tuple[int, ...]:
-    return tuple(mix64((seed + (i + 1) * GOLDEN) & MASK64) % MERSENNE61 for i in range(k))
+    return tuple(split_seed(seed, i) % MERSENNE61 for i in range(k))
 
 
 def universal_hash(t, seed: int, b: int) -> int:
@@ -483,8 +483,9 @@ _RANK_BLOCK = 64
 # guess only if the exact interval above holds the rank; otherwise it redoes
 # the block with the exact loop.  Below _GUESS_MIN_BITS of class size the exact
 # loop is the faster one: the guess costs about as much per symbol as an exact
-# step at 1,000-1,500 bits (measured at k=2 to 16, ROADMAP item 4), and the
-# exact loop's cost falls with size while the guess's does not.
+# step at 1,000-1,500 bits (measured at k=2 to 16: BENCH_11.json, CHANGES.md on
+# blocked rank/unrank), and the exact loop's cost falls with size while the
+# guess's does not.
 _GUESS_MARGIN = 128
 _GUESS_MIN_BITS = 1024
 

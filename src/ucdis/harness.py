@@ -241,18 +241,13 @@ def _experiment_trial(cfg: ExperimentConfig, t: int):
     family, theta, y, x = _draw(cfg, t, need_memory)
     h_bits = cfg.n * entropy_rate(family, theta)
     lens, errs = {}, {}
-    if "ucomp" in cfg.strategies:
-        stream = codec.encode_ucomp(family, x)
-        if not np.array_equal(codec.decode_ucomp(family, stream, cfg.n), x):
-            raise CodecIntegrityError(f"ucomp round-trip mismatch at trial {t}")
-        lens["ucomp"] = float(stream.bit_length)
-        errs["ucomp"] = 0.0
-    if "ucompm" in cfg.strategies:
-        stream = codec.encode_ucompm(family, y, x)
-        if not np.array_equal(codec.decode_ucompm(family, y, stream, cfg.n), x):
-            raise CodecIntegrityError(f"ucompm round-trip mismatch at trial {t}")
-        lens["ucompm"] = float(stream.bit_length)
-        errs["ucompm"] = 0.0
+    for s, memory in (("ucomp", ()), ("ucompm", y)):
+        if s in cfg.strategies:
+            stream = codec.encode_ucompm(family, memory, x)
+            if not np.array_equal(codec.decode_ucompm(family, memory, stream, cfg.n), x):
+                raise CodecIntegrityError(f"{s} round-trip mismatch at trial {t}")
+            lens[s] = float(stream.bit_length)
+            errs[s] = 0.0
     if "ducompm" in cfg.strategies:
         dcfg = cfg.ducompm_config()
         word = ducompm.encode_ducompm(x, dcfg)

@@ -27,7 +27,7 @@ class FixedModel:
     so no tree index changes as symbols are coded.
     """
 
-    __slots__ = ("freqs", "cum", "trees", "weights", "steps", "paths", "inc", "markov", "ctx")
+    __slots__ = ("freqs", "cum", "trees", "weights", "inc", "markov", "ctx")
 
     def __init__(self, freqs):
         self.freqs = [int(f) for f in freqs]
@@ -45,8 +45,6 @@ class FixedModel:
                 i += i & -i
         self.trees = [tree]
         self.weights = [self.freqs]
-        self.steps = tuple(1 << b for b in reversed(range(size.bit_length() - 1)))
-        self.paths = ((),) * len(self.freqs)
         self.inc = 0
         self.markov = False
         self.ctx = 0

@@ -188,8 +188,8 @@ def test_criterion_09_strict_losslessness():
             theta = rng.dirichlet([0.5] * k)
             x = rng.choice(k, size=n, p=theta)
             if i % 2 == 0:
-                stream = codec.encode_ucomp(fam, x)
-                back = codec.decode_ucomp(fam, stream, n)
+                stream = codec.encode_ucompm(fam, (), x)
+                back = codec.decode_ucompm(fam, (), stream, n)
                 ideal = ideal_kt_bits(fam, x)
             else:
                 y = rng.choice(k, size=n // 2, p=theta)

@@ -193,7 +193,7 @@ class TestEncodeDecode:
     def test_alphabet_beyond_a_byte_rejected(self, capsys, tmp_path):
         # symbols >= 256 would wrap in the one-byte-per-symbol output file
         fam = memoryless(300)
-        payload = codec.encode_ucomp(fam, np.array([299, 5, 299, 257]))
+        payload = codec.encode_ucompm(fam, (), np.array([299, 5, 299, 257]))
         enc, back = tmp_path / "w.ucds", tmp_path / "back.bin"
         enc.write_bytes(codec.pack_container(codec.Container(
             "ucomp", "memoryless", 300, 4, 0, 0.0, payload)))
@@ -299,6 +299,61 @@ class TestDucompmCli:
                                "--out", str(tmp_path / "back.bin"))
         assert code == 3
         assert "failure" in err
+
+
+class TestDecodeWithMemory:
+    """ucompm and ducompm containers decode only with a memory file of the
+    container's length m; ucomp ignores one on either side."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        fam, theta = memoryless(3), [0.5, 0.3, 0.2]
+        paths = {}
+        for name, n, seed in (("x", 300, 31), ("y", 3000, 32), ("short", 2999, 33)):
+            paths[name] = tmp_path / f"{name}.bin"
+            x = sample_sequence(fam, theta, n, seed)
+            paths[name].write_bytes(bytes(np.asarray(x, dtype=np.uint8)))
+        return paths
+
+    def _encode(self, capsys, files, strategy, *extra):
+        enc = files["x"].with_name(f"{strategy}.ucds")
+        memory = {"ucomp": [], "ucompm": ["--memory", str(files["y"])],
+                  "ducompm": ["--memory-len", "3000", "--pe", "0.05"]}[strategy]
+        assert run_cli(capsys, "encode", "--strategy", strategy, "--in", str(files["x"]),
+                       "--out", str(enc), "--k", "3", *memory, *extra)[0] == 0
+        return enc
+
+    def _decode(self, capsys, enc, out, *memory):
+        return run_cli(capsys, "decode", "--in", str(enc), "--out", str(out), *memory)
+
+    @pytest.mark.parametrize("strategy", ["ucompm", "ducompm"])
+    def test_missing_memory(self, capsys, tmp_path, files, strategy):
+        enc, back = self._encode(capsys, files, strategy), tmp_path / "back.bin"
+        code, _, err = self._decode(capsys, enc, back)
+        assert code == 1 and "--memory" in err
+        assert not back.exists()
+
+    @pytest.mark.parametrize("strategy", ["ucompm", "ducompm"])
+    def test_memory_of_wrong_length(self, capsys, tmp_path, files, strategy):
+        enc, back = self._encode(capsys, files, strategy), tmp_path / "back.bin"
+        code, _, err = self._decode(capsys, enc, back, "--memory", str(files["short"]))
+        assert code == 1 and "2999" in err and "3000" in err
+        assert not back.exists()
+        assert self._decode(capsys, enc, back, "--memory", str(files["y"]))[0] == 0
+        assert back.read_bytes() == files["x"].read_bytes()
+
+    def test_ucomp_decode_ignores_memory(self, capsys, tmp_path, files):
+        enc = self._encode(capsys, files, "ucomp")
+        plain, primed = tmp_path / "plain.bin", tmp_path / "primed.bin"
+        assert self._decode(capsys, enc, plain)[0] == 0
+        assert self._decode(capsys, enc, primed, "--memory", str(files["short"]))[0] == 0
+        assert primed.read_bytes() == plain.read_bytes() == files["x"].read_bytes()
+
+    def test_ucomp_encode_ignores_memory(self, capsys, files):
+        plain = self._encode(capsys, files, "ucomp").read_bytes()
+        primed = self._encode(capsys, files, "ucomp", "--memory", str(files["y"])).read_bytes()
+        assert codec.unpack_container(primed).m == 0
+        assert primed == plain
 
 
 class TestExperimentCli:
@@ -420,18 +475,11 @@ class TestExperimentCli:
         run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out2), "--threads", "2")
         assert out1.read_text() == out2.read_text()
 
-    def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("UCDIS_THREADS", "2")
-        cfg = self._config(tmp_path, strategies=["ucomp"], trials=8)
-        out1, out2 = tmp_path / "env.csv", tmp_path / "serial.csv"
-        assert run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out1))[0] == 0
-        monkeypatch.delenv("UCDIS_THREADS")
-        run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out2))
-        assert out1.read_text() == out2.read_text()
-
-    def test_threads_env_not_an_integer(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("UCDIS_THREADS", "two")
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_rejected(self, capsys, tmp_path, threads):
         cfg = self._config(tmp_path, strategies=["ucomp"], trials=2)
-        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
-                               "--out", str(tmp_path / "o.csv"))
-        assert code == 1 and "UCDIS_THREADS" in err
+        for name in ("experiment", "coverage"):
+            code, _, err = run_cli(capsys, name, "--config", str(cfg),
+                                   "--out", str(tmp_path / "o.csv"), "--threads", threads)
+            assert code == 1 and "--threads" in err and threads in err
+        assert not (tmp_path / "o.csv").exists()

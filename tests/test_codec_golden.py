@@ -72,7 +72,7 @@ def encode(strategy, fam, y, x) -> codec.BitStream:
     if strategy == "fixed":
         return codec.ac_encode(FixedModel([1, 2, 1]), x.tolist())
     if strategy == "ucomp":
-        return codec.encode_ucomp(fam, x)
+        return codec.encode_ucompm(fam, (), x)
     return codec.encode_ucompm(fam, y, x)
 
 
@@ -80,7 +80,7 @@ def decode(strategy, fam, y, bits, n):
     if strategy == "fixed":
         return np.array(codec.ac_decode(FixedModel([1, 2, 1]), bits, n))
     if strategy == "ucomp":
-        return codec.decode_ucomp(fam, bits, n)
+        return codec.decode_ucompm(fam, (), bits, n)
     return codec.decode_ucompm(fam, y, bits, n)
 
 
