@@ -234,20 +234,28 @@ class KTCoderModel:
                 cb = 0
             cum = rows.cumsum(axis=1)
             key = ((cb << bits) | xb).astype(key_type)
-            same = _earlier_equal(key)
-            below = (cum - rows)[cb, xb]
-            prev = same
-            for b in range(bits):
-                # earlier keys equal above bit b, less those equal through bit b
-                cur = _earlier_equal(key >> (b + 1))
-                below += ((xb >> b) & 1) * (cur - prev)
-                prev = cur
+            same, below, prev = _earlier_counts(key, bits)
+            below += (cum - rows)[cb, xb]
             # prev counts the earlier symbols in the context.  Clipping keeps
             # 2*N_c + k inside int64 and still above _MAX_TOTAL.
             n_c = np.minimum(cum[:, -1][cb] + prev, _MAX_TOTAL >> 1)
             lo = 2 * below + xb
             yield lo, lo + 2 * (rows[cb, xb] + same) + 1, 2 * n_c + k
             rows += np.bincount(cb * k + xb, minlength=rows.size).reshape(rows.shape)
+
+
+def _earlier_counts(key: np.ndarray, bits: int):
+    """For each position i, the numbers of positions j < i whose key equals
+    key[i] (same), agrees with key[i] above its low ``bits`` bits and is
+    smaller in them (below), and agrees with key[i] above them (prev)."""
+    same = prev = _earlier_equal(key)
+    below = np.zeros_like(same)
+    for b in range(bits):
+        # earlier keys equal above bit b, less those equal through bit b
+        cur = _earlier_equal(key >> (b + 1))
+        below += ((key >> b) & 1) * (cur - prev)
+        prev = cur
+    return same, below, prev
 
 
 def _earlier_equal(key: np.ndarray) -> np.ndarray:

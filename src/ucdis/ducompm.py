@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import BitReader, BitStream, BitWriter, FramingError
+from .codec import BitReader, BitStream, BitWriter, FramingError, _earlier_counts
 from .numerics import chi2_quantile_upper
 from .rng import MASK64, mix64, mix64_array, split_seed
 from .sources import SourceFamily, _validate_sequence, fisher_info, smoothed_estimate
@@ -464,9 +464,9 @@ def multinomial_count(counts) -> int:
 
 
 # Rank and unrank work on blocks of _RANK_BLOCK symbols (Cover's enumerative
-# rank, IEEE Trans. IT 19, 1973, taken a block at a time).  In one block let
-# T_i be the number of symbols left before its i-th symbol, num_i the count of
-# that symbol among them and pre_i the count of smaller symbols, and let
+# rank, IEEE Trans. IT 19, 1973, taken a block at a time).  For position i let
+# T_i be the number of symbols from i to the end, num_i the count of x_i among
+# them and pre_i the count of smaller symbols, and for a block let
 #     P = prod num_i,   Q = prod T_i,
 #     S = sum_i pre_i * prod_{j<i} num_j * prod_{j>i} T_j.
 # With `start` and `end` the class sizes of the symbols left before and after
@@ -474,8 +474,24 @@ def multinomial_count(counts) -> int:
 # start * S / Q = end * S / P to the rank (the ranks of the sequences that
 # share the block's prefix form [start * S / Q, start * S / Q + end)).  All four
 # divisions are exact, so the block costs one big multiply-divide pair in
-# place of one pair per symbol; P, Q and S stay near 64 * log2(n) bits.
+# place of one pair per symbol (_block_step); P, Q and S stay near
+# 64 * log2(n) bits.  A run of symbols L followed by a run R has
+#     S = S_L * Q_R + P_L * S_R,   P = P_L * P_R,   Q = Q_L * Q_R,
+# and (S, P, Q) = (0, 1, 1) is the empty run.  From _VECTOR_MIN symbols on,
+# type_rank builds every block with these products, pairwise over all blocks
+# at once in numpy (_vector_blocks); shorter sequences take the per-symbol
+# loop (_loop_blocks).  Either way one loop folds the blocks from the end.
 _RANK_BLOCK = 64
+
+# numpy's fixed cost, about 0.1 ms per type_rank call, outweighs the loop on
+# short sequences: the numpy builder loses at n = 256 and wins at n = 512 for
+# k = 2, 3, 4 and 8 (BENCH_17.json, "crossover").
+_VECTOR_MIN = 512
+
+# _vector_blocks works through the sequence from its end, _RANK_CHUNK blocks
+# at a time, carrying the counts of the symbols after the chunk, so its
+# arrays hold one chunk whatever n is.
+_RANK_CHUNK = 128
 
 # type_unrank guesses a block's symbols with the per-symbol loop run on the top
 # bits of rank and size only, shifted so that size keeps the bits the block
@@ -490,18 +506,21 @@ _GUESS_MARGIN = 128
 _GUESS_MIN_BITS = 1024
 
 
-def type_rank(x, k: int) -> tuple[int, int]:
-    """Lexicographic rank of x among all sequences with the same type, and
-    the size of that type class: ``(rank, size)``.
+def _block_step(size: int, s: int, div: int, mul: int) -> tuple[int, int]:
+    """``(size * s // div, size * mul // div)`` for a block whose two
+    quotients are exact: the rank's fold (div = P, mul = Q) and the unrank's
+    check (div = Q, mul = P).  Dividing by g = gcd(div, mul) first keeps both
+    exact: div/g divides size, since it divides size * mul/g and is prime to
+    mul/g."""
+    g = math.gcd(div, mul)
+    base = size // (div // g)
+    return base * s // g, base * (mul // g)
 
-    Walks the blocks backward from the empty suffix, whose class size is 1,
-    so the walk ends holding the class size of x itself.
-    """
-    x = _validate_sequence(x, k).tolist()
+
+def _loop_blocks(x: list, k: int):
+    """Each block's (S, P, Q), from the end of x, one symbol at a time."""
     counts = [0] * k
     total = 0
-    rank = 0
-    size = 1
     for end in range(len(x), 0, -_RANK_BLOCK):
         s_sum, num_prod, tot_prod = 0, 1, 1
         for s in reversed(x[max(0, end - _RANK_BLOCK):end]):
@@ -510,8 +529,66 @@ def type_rank(x, k: int) -> tuple[int, int]:
             s_sum = s_sum * num + sum(counts[:s]) * tot_prod if s else s_sum * num
             num_prod *= num
             tot_prod *= total
-        rank += size * s_sum // num_prod
-        size = size * tot_prod // num_prod
+        yield s_sum, num_prod, tot_prod
+
+
+def _vector_blocks(x: np.ndarray, k: int):
+    """Each block's (S, P, Q), from the end of x, with no loop per symbol:
+    numpy counts T_i, num_i and pre_i for a chunk of blocks and folds the
+    chunk's blocks pairwise, all at once."""
+    n = len(x)
+    bits = (k - 1).bit_length()
+    key_type = np.min_scalar_type(k - 1)
+    after = np.zeros(k, np.int64)  # counts of the symbols after the chunk
+    step = _RANK_CHUNK * _RANK_BLOCK
+    for hi in range(n, 0, -step):
+        lo = max(0, hi - step)
+        back = x[lo:hi][::-1]
+        same, below, _ = _earlier_counts(back.astype(key_type), bits)
+        # leaves in position order, padded in front to whole blocks with the
+        # empty run (0, 1, 1)
+        pad = -(hi - lo) % _RANK_BLOCK
+        v = np.ones((3, pad + hi - lo), np.int64)
+        v[0, :pad] = 0
+        v[0, pad:] = ((np.cumsum(after) - after)[back] + below)[::-1]
+        v[1, pad:] = (after[back] + same + 1)[::-1]
+        v[2, pad:] = np.arange(n - lo, n - hi, -1)
+        after += np.bincount(back, minlength=k)
+        s, p, q = v.reshape(3, -1, _RANK_BLOCK)
+        # In a run pre + num <= T at a leaf and S + P <= Q at every node (its
+        # ranks lie in [start * S / Q, start * (S + P) / Q], inside [0, start]),
+        # so S_L * Q_R + P_L * S_R <= (S_L + P_L) * Q_R <= Q: every value and
+        # partial sum of a fold is at most a product of its leaves' T, below
+        # 2^(w * leaves) with w the bit length of T's largest value, n - lo.
+        # The fold stays in int64 while w * leaves <= 63, then runs on Python
+        # ints in object arrays.
+        w = (n - lo).bit_length()
+        leaves = 1
+        while leaves < _RANK_BLOCK:
+            leaves *= 2
+            if w * leaves > 63 and s.dtype != object:
+                s, p, q = s.astype(object), p.astype(object), q.astype(object)
+            s = s[:, 0::2] * q[:, 1::2] + p[:, 0::2] * s[:, 1::2]
+            p = p[:, 0::2] * p[:, 1::2]
+            q = q[:, 0::2] * q[:, 1::2]
+        yield from zip(s[::-1, 0].tolist(), p[::-1, 0].tolist(), q[::-1, 0].tolist())
+
+
+def type_rank(x, k: int) -> tuple[int, int]:
+    """Lexicographic rank of x among all sequences with the same type, and
+    the size of that type class: ``(rank, size)``.
+
+    Builds every block's (S, P, Q), with numpy from _VECTOR_MIN symbols on,
+    and folds the blocks backward from the empty suffix, whose class size is
+    1, so the fold ends holding the class size of x itself.
+    """
+    x = _validate_sequence(x, k)
+    blocks = _vector_blocks(x, k) if len(x) >= _VECTOR_MIN else _loop_blocks(x.tolist(), k)
+    rank = 0
+    size = 1
+    for s, p, q in blocks:
+        part, size = _block_step(size, s, p, q)
+        rank += part
     return rank, size
 
 
@@ -580,9 +657,8 @@ def type_unrank(t, rank: int, size: int | None = None) -> np.ndarray:
         g = _guess_block(guess, total, rank >> sh, size >> sh, m) if sh > 0 else None
         if g is not None:
             symbols, s_sum, num_prod = g
-            tot_prod = math.perm(total, m)
-            offset = rank - size * s_sum // tot_prod
-            end = size * num_prod // tot_prod
+            part, end = _block_step(size, s_sum, math.perm(total, m), num_prod)
+            offset = rank - part
             if 0 <= offset < end:
                 out += symbols
                 counts, total, rank, size = guess, total - m, offset, end

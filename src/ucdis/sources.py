@@ -76,9 +76,23 @@ def validate_theta(family: SourceFamily, theta) -> np.ndarray:
 
 
 def _validate_sequence(x, k: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int64)
+    """x as a one-dimensional int64 array of symbols in [0, k).
+
+    Integer arrays are only range-checked; other values must be finite
+    integers (2.0 passes; 0.5, NaN and inf raise ``ValueError`` where a cast
+    would truncate them or overflow)."""
+    x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
+    if x.dtype.kind not in "biu" and x.size:
+        try:
+            f = x.astype(np.float64) if x.dtype.kind in "fO" else None
+        except (TypeError, ValueError):
+            f = None
+        if f is None or not (np.isfinite(f).all() and (f == np.floor(f)).all()):
+            raise ValueError("sequence symbols must be finite integers")
+        x = np.clip(f, -1, k)  # out-of-range values stay out of range, and castable
+    x = x.astype(np.int64, copy=False)
     if x.size and (x.min() < 0 or x.max() >= k):
         raise ValueError(f"sequence symbols must lie in [0, {k})")
     return x

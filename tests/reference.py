@@ -4,7 +4,9 @@
 model interface (known-parameter coding); ``ideal_kt_bits`` is the ideal KT
 codelength that the arithmetic coder's output must stay within 2 bits of;
 ``type_rank``/``type_unrank`` are the per-symbol enumerative rank and unrank
-that ducompm's blocked ones must agree with; ``reg_gamma_upper`` is the
+that ducompm's blocked ones must agree with (its rank builds the blocks with
+a per-symbol loop for short sequences and with numpy product trees for long
+ones; its unrank guesses blocks and checks them); ``reg_gamma_upper`` is the
 chi-square tail mass that ``chi2_quantile_upper``'s quantiles are checked
 against.
 """

@@ -443,14 +443,17 @@ class TestHashLength:
 @st.composite
 def rank_cases(draw):
     """(x, k, r): a sequence and a rank of its class.  k is 2..16; the length
-    sits at a block boundary, is up to 300, or is long enough for the class to
+    sits at a block boundary, at a boundary of 3-block chunks or at the
+    numpy rank's threshold, is up to 300, or is long enough for the class to
     pass the guessing break-even (thousands at k <= 4).  A random set of
     symbols does not occur (zero counts; all but one gives a one-sequence
     class), and the others have random frequencies."""
     k = draw(st.integers(2, 16))
     B = ducompm._RANK_BLOCK
+    V = ducompm._VECTOR_MIN
     long = st.integers(1000, 4000) if k <= 4 else st.integers(300, 1000)
-    n = draw(st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 1]) | st.integers(0, 300) | long)
+    edges = [0, 1, B - 1, B, B + 1, 3 * B - 1, 3 * B, 3 * B + 1, 6 * B, 6 * B + 1, V - 1, V]
+    n = draw(st.sampled_from(edges) | st.integers(0, 300) | long)
     absent = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
     used = [a for a in range(k) if a not in absent]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -511,17 +514,23 @@ class TestRanking:
         assert seqs == sorted(seqs)
 
     @settings(max_examples=150)
-    @given(rank_cases(), st.sampled_from([1, ducompm._GUESS_MIN_BITS]))
-    @example(([2] * 70, 3, 0), 1)
-    @example(([], 2, 0), 1)
-    def test_blocked_matches_per_symbol_reference(self, case, min_bits):
+    @given(rank_cases(), st.sampled_from([1, ducompm._GUESS_MIN_BITS]),
+           st.sampled_from([0, 10**6]), st.sampled_from([1, 3]))
+    @example(([2] * 70, 3, 0), 1, 0, 1)
+    @example(([], 2, 0), 1, 0, 1)
+    def test_blocked_matches_per_symbol_reference(self, case, min_bits, vector_min, chunk):
         """The blocked rank and unrank agree with the per-symbol loops, on
         the guess-and-check path too (with the break-even patched to 1 bit,
-        every class of two or more sequences takes it)."""
+        every class of two or more sequences takes it).  The rank is checked
+        on the numpy path for every n (threshold 0) and on the loop path for
+        every n (threshold above all drawn n), with chunks of 1 and 3 blocks."""
         x, k, r = case
         t = type_of(x, k)
         size = multinomial_count(t)
         assert type_rank(x, k) == (reference.type_rank(x, k), size)
+        with mock.patch.object(ducompm, "_VECTOR_MIN", vector_min), \
+                mock.patch.object(ducompm, "_RANK_CHUNK", chunk):
+            assert type_rank(x, k) == (reference.type_rank(x, k), size)
         with mock.patch.object(ducompm, "_GUESS_MIN_BITS", min_bits):
             assert type_unrank(t, type_rank(x, k)[0]).tolist() == x
             expected = reference.type_unrank(t, r)
@@ -551,6 +560,35 @@ class TestRanking:
             redone = [c for c in steps.call_args_list if c.args[-1] == ducompm._RANK_BLOCK]
             assert steps.call_count == len(redone) + 1
             assert len(redone) >= least if least else redone == []
+
+    @pytest.mark.parametrize("b", [7, 8, 11, 15, 16])
+    @pytest.mark.parametrize("n_from_2b", [-1, 0])
+    def test_numpy_rank_at_the_int64_limits(self, b, n_from_2b):
+        """n = 2^b - 1 and 2^b put the bit length of T_1 = n on either side of
+        a change in the number of int64 fold levels (w * leaves <= 63; at
+        n = 255 and 65535 a product of 8 or 4 values of T passes 2^63, so a
+        fold kept in int64 one level too long wraps).  32 1s alternating with
+        0s ahead of the other 0s keep T, num and pre near n in the first block,
+        where the 1s make S nonzero, and the class small."""
+        n = 2**b + n_from_2b
+        x = [1, 0] * 32 + [0] * (n - 64)
+        with mock.patch.object(ducompm, "_VECTOR_MIN", 0):
+            assert type_rank(x, 2) == (reference.type_rank(x, 2), math.comb(n, 32))
+
+    def test_rank_memory_does_not_grow_with_n(self):
+        """The numpy rank holds one chunk of blocks at a time: tracing type_rank
+        on 2^18 symbols (x itself, 2 MiB of int64, is allocated before
+        tracing) stays under 1.5 MiB; a list of the symbols alone takes 2 MiB."""
+        x = sample_sequence(MEM2, [0.9, 0.1], 2**18, seed=3)
+        assert x.dtype == np.int64
+        tracemalloc.start()
+        try:
+            rank, size = type_rank(x, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size == multinomial_count(type_of(x, 2))
+        assert peak < 1.5 * 2**20
 
     def test_size_argument_is_the_class_size(self):
         x = sample_sequence(MEM2, [0.45, 0.55], 3000, seed=5).tolist()

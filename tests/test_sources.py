@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucdis import codec, ducompm
 from ucdis.sources import (
     BoundaryThetaError,
     SourceFamily,
+    _validate_sequence,
     context_counts,
     entropy_rate,
     fisher_info,
@@ -205,3 +207,25 @@ class TestJeffreys:
         assert theta.shape == (3, 3)
         assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(theta, sample_jeffreys(markov1(3), seed=4))
+
+
+@pytest.mark.parametrize("x", [[0.5, 1.7, 2.2], [-0.5, 1], [0, 1.5], [math.inf], [-math.inf],
+                               [math.nan], [1e300], [2**70], ["a"], [1 + 1j], [None]])
+def test_non_integer_symbols_rejected(x):
+    """A cast would truncate 0.5 to 0 and overflow on inf; the check, and the
+    encoder and rank that call it, raise ValueError instead."""
+    with pytest.raises(ValueError):
+        _validate_sequence(x, 3)
+    with pytest.raises(ValueError):
+        codec.encode_ucompm(MEM3, (), x)
+    with pytest.raises(ValueError):
+        ducompm.type_rank(x, 3)
+
+
+def test_integer_symbols_accepted():
+    x = np.array([0, 2, 1], dtype=np.int64)
+    assert _validate_sequence(x, 3) is x
+    for seq in ([0, 2, 1], [0.0, 2.0, 1.0], np.array([0, 2, 1], np.uint8), (0, 2, 1)):
+        assert _validate_sequence(seq, 3).tolist() == [0, 2, 1]
+    empty = _validate_sequence((), 3)
+    assert empty.dtype == np.int64 and empty.size == 0
