@@ -10,6 +10,13 @@ stay below the permissible error probability by sizing the ellipsoid from the
 chi-square quantile and the hash from the candidate count and a collision
 budget.
 
+One rule decides which types are inside an ellipsoid: the float64
+arithmetic of the Fincke-Pohst walk that lists them (``_lines``), which
+``ellipsoid_contains`` replays for a single type.  The encoder's hash width,
+the decoder's candidates and the harness's coverage all use it.  The walk's
+work, its visited lattice points plus 2 k per walk step, is bounded by
+``candidate_cap``.
+
 Markov sources are not supported here (type enumeration over transition
 matrices with flow constraints is a different problem); the strictly lossless
 paths in :mod:`ucdis.codec` handle them.
@@ -35,8 +42,10 @@ DEFAULT_CANDIDATE_CAP = 10_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """The ellipsoid walk visited more lattice points than the configured
-    candidate cap (a configuration error, not a coding error)."""
+    """The ellipsoid walk's work passed the configured candidate cap (a
+    configuration error, not a coding error).  The work is the lattice points
+    the walk visits plus 2 k per walk step, a step being one level of the
+    walk over one chunk of prefixes."""
 
 
 @dataclass(frozen=True)
@@ -76,19 +85,35 @@ class Ellipsoid:
     ``center`` is the smoothed (strictly interior) estimate from the observed
     sequence, ``fisher`` the natural-units per-symbol Fisher matrix at the
     center over the free coordinates, r = n m / (n + m), and q the
-    chi-square_d quantile at 1 - p_e.
+    chi-square_d quantile at 1 - p_e.  A = r * fisher is factored once, as
+    A = M' diag(D) M with M unit lower triangular (Cholesky on the reversed
+    coordinates), so the form is sum_i D_i (v_i + sum_(j<i) M_ij v_j)**2 and
+    its i-th term depends on v_0..v_i only; ``_lines`` and
+    ``ellipsoid_contains`` decide membership from D and M.
     """
 
-    __slots__ = ("center", "r", "fisher", "chi2_threshold", "_a_rows", "_center_free", "_d")
+    __slots__ = ("center", "r", "fisher", "chi2_threshold", "_center_free", "_d", "_piv", "_mult")
 
     def __init__(self, center: np.ndarray, r: float, fisher: np.ndarray, chi2_threshold: float):
         self.center = center
         self.r = r
         self.fisher = fisher
         self.chi2_threshold = chi2_threshold
-        self._d = fisher.shape[0]
-        self._center_free = [float(c) for c in center[: self._d]]
-        self._a_rows = [[float(r * fisher[i, j]) for j in range(self._d)] for i in range(self._d)]
+        d = self._d = fisher.shape[0]
+        self._center_free = [float(c) for c in center[:d]]
+        a = [[float(r * fisher[i, j]) for j in range(d)] for i in range(d)]
+        self._piv = [0.0] * d  # D
+        self._mult: list[list[float]] = [[]] * d  # M below the diagonal, by row
+        for i in reversed(range(d)):
+            p = a[i][i]
+            if not p > 0.0:
+                raise ValueError("r * Fisher is not positive definite")
+            self._piv[i] = p
+            self._mult[i] = [a[i][j] / p for j in range(i)]
+            for j, f in enumerate(self._mult[i]):
+                row = a[j]
+                for s in range(i):
+                    row[s] -= f * a[i][s]
 
 
 def type_of(x, k: int) -> np.ndarray:
@@ -124,60 +149,6 @@ def build_ellipsoid(y, n: int, p_e: float, k: int) -> Ellipsoid:
     return _ellipsoid(y, n, m, p_e, k)
 
 
-def _qform(e: Ellipsoid, t, n: int) -> float:
-    # r * v' I v over free coordinates, v = t/n - center; plain floats for speed
-    c = e._center_free
-    a = e._a_rows
-    d = e._d
-    v = [t[i] / n - c[i] for i in range(d)]
-    q = 0.0
-    for i in range(d):
-        row = a[i]
-        s = 0.0
-        for j in range(d):
-            s += row[j] * v[j]
-        q += v[i] * s
-    return q
-
-
-def ellipsoid_contains(e: Ellipsoid, t, n: int) -> bool:
-    """Membership of a type's empirical point t/n in the acceptance region."""
-    t = np.asarray(t)
-    if int(t.sum()) != n:
-        raise ValueError(f"type counts sum to {int(t.sum())}, expected n={n}")
-    return _qform(e, t, n) <= e.chi2_threshold
-
-
-# The walker's floating-point values differ from _qform's in the last bits, so
-# it widens its outer bounds and shrinks its inner bound by an absolute margin
-# and leaves the points in between to _qform.  With u = 2**-53, T =
-# sum_i sqrt(a_ii) * (1 + |c_i|) and S = T**2 + |threshold|: every visited t has
-# t/n in [0, 1], so |v_i| <= 1 + |c_i|, and the positive definite A has
-# |a_ij| <= sqrt(a_ii a_jj), hence |v|'|A||v| <= T**2.  To first order in u,
-# - _qform errs by at most (2d + 4) u T**2: 2u (1 + |c_i|) on each v_i, and
-#   gamma_2d |v|'|A||v| for the sums (Higham, "Accuracy and Stability of
-#   Numerical Algorithms", 2002, section 3.1);
-# - the computed factor is exact for A + E, |E_ij| <= gamma_(d+1)
-#   sqrt(a_ii a_jj) (Higham, Theorem 10.3), which moves the form by at most
-#   (d + 1) u T**2;
-# - the walker's partial sums add d terms D_i (t_i/n - mu_i)**2.  As D_i <=
-#   a_ii and sqrt(D_i) |M_ij| <= sqrt(a_jj), sqrt(D_i) times the rounding of
-#   t_i/n - mu_i is at most (d + 4) u T, so each term is off by at most
-#   (2d + 11) u S and their sum by d u S more;
-# - the interval ends n (mu_i +- h) carry 4u relative error, worth at most
-#   16 u S on the form.
-# The sum stays below 40 d**2 u S for d >= 1; the margin 2**-40 d**2 S is 204
-# times that, which also covers the dropped O(u**2) terms.
-# The walk evaluates these quantities as float64 arrays, one element per
-# prefix, with the operations a scalar walk would use, in its order: mu_i
-# sums M_ij v_j over ascending j with one rounded multiply and one rounded
-# add per term (numpy's elementwise ufuncs round every operation and fuse
-# none), and t/n, the square, the products with n and D_i, sqrt, ceil and
-# floor are single IEEE operations.  Each array element is therefore
-# bit-identical to the scalar value the count above bounds, and the margin
-# holds as derived.
-_EDGE_MARGIN = 2.0**-40
-
 # Prefixes the walk holds at once.  Its stack keeps one chunk of at most
 # _CHUNK // d prefixes per level of the d-level walk; a prefix stores its last
 # count, that coordinate's v and its parent's row, and a chunk gathers its
@@ -186,44 +157,68 @@ _EDGE_MARGIN = 2.0**-40
 _CHUNK = 2**15
 
 
+def ellipsoid_contains(e: Ellipsoid, t, n: int) -> bool:
+    """Membership of a type t (k nonnegative counts summing to n) in the
+    acceptance region, by the walk's rule (see ``_lines``): a scalar replay
+    of the walk's float64 operations, in its order, along t's own path.
+    Python floats round each operation as numpy's elementwise ufuncs do, so
+    the replay admits exactly the types the walk lists."""
+    t = np.asarray(t)
+    if t.shape != (e._d + 1,):
+        raise ValueError(f"type has shape {t.shape}, expected ({e._d + 1},)")
+    if (t < 0).any():
+        raise ValueError("type counts must be nonnegative")
+    if int(t.sum()) != n:
+        raise ValueError(f"type counts sum to {int(t.sum())}, expected n={n}")
+    t = t.tolist()
+    c, piv, mult, thr = e._center_free, e._piv, e._mult, e.chi2_threshold
+    partial = 0.0
+    v = []
+    for i in range(e._d):
+        if not thr - partial >= 0.0:
+            return False
+        acc = 0.0
+        for j in range(i):
+            acc = acc + mult[i][j] * v[j]
+        mu = c[i] - acc
+        mid = n * mu
+        half = n * math.sqrt((thr - partial) / piv[i])
+        # ceil(mid - half) <= t_i <= floor(mid + half) for an integer t_i;
+        # 0 <= t_i <= rest holds already
+        if not mid - half <= t[i] <= mid + half:
+            return False
+        x = t[i] / n
+        dx = x - mu
+        partial = partial + piv[i] * (dx * dx)
+        v.append(x - c[i])
+    return True
+
+
 def _lines(e: Ellipsoid, n: int, k: int, cap: int):
     """Fincke-Pohst walk: the region's types as runs on integer lines.
 
-    Yields ``(prefix, rest, t0, t1)`` arrays with one row per run: every type
-    ``(*prefix[j], t, rest[j] - t)`` with t0[j] <= t <= t1[j] lies in the
-    region, and each type of it in one run, in ascending lexicographic order
-    across the yields.  ``prefix`` is the int64 matrix of the first k - 2
-    counts.  The walk is breadth-first within a chunk of prefixes, whose
-    bounds at one level are computed as arrays, and depth-first over chunks.
-    On each line (one per prefix) float bounds put every point of [lo_in,
-    hi_in] inside and every point off [lo, hi] outside; the rare edge points
-    between them pass only if ``_qform <= chi2_threshold`` and come as runs
-    of one.  Raises ResourceLimitError once the walk has visited more than
-    ``cap`` points, checked before a level's children are made.
+    Yields ``(prefix, rest, t0, t1)`` arrays with one row per run: the types
+    ``(*prefix[j], t, rest[j] - t)`` with t0[j] <= t <= t1[j] are the region's,
+    each in one run, in ascending lexicographic order across the yields.
+    ``prefix`` is the int64 matrix of the first k - 2 counts.
+
+    The walk's float64 arithmetic defines the region (Fincke and Pohst, Math.
+    Comp. 44, 1985).  With v_j = t_j/n - c_j, mu_i = c_i - sum_(j<i) M_ij v_j
+    and rest = n - sum_(j<i) t_j, a prefix t_0..t_(i-1) with partial form P =
+    sum_(j<i) D_j (t_j/n - mu_j)**2 has the children t_i in [ceil(n mu_i - h),
+    floor(n mu_i + h)] and [0, rest], h = n sqrt((q - P) / D_i), and a child
+    goes on only if q - P >= 0 with its own term added.  A type is inside if
+    its path passes every level; ``ellipsoid_contains`` replays that path.
+
+    The walk is breadth-first within a chunk of prefixes, whose bounds at one
+    level are computed as arrays, and depth-first over chunks.  Its work is
+    the points it visits plus 2 k per step (one level over one chunk, whose
+    O(k) array operations cost the same however few points it holds); it
+    raises ResourceLimitError once the work passes ``cap``, checked before a
+    level's children are made.
     """
     d = k - 1
-    c = e._center_free
-    thr = e.chi2_threshold
-    # A = M' diag(D) M with M unit lower triangular (Cholesky on the reversed
-    # coordinates), so Q(v) = sum_i D_i (v_i + sum_(j<i) M_ij v_j)**2 and the
-    # i-th term depends on v_0..v_i only: a prefix whose partial sum already
-    # exceeds the threshold cannot reach the region.
-    a = [row[:] for row in e._a_rows]
-    piv = [0.0] * d
-    mult: list[list[float]] = [[]] * d
-    for i in reversed(range(d)):
-        p = a[i][i]
-        if not p > 0.0:
-            raise ValueError("r * Fisher is not positive definite")
-        piv[i] = p
-        mult[i] = [a[i][j] / p for j in range(i)]
-        for j, f in enumerate(mult[i]):
-            row = a[j]
-            for s in range(i):
-                row[s] -= f * a[i][s]
-    scale = sum(math.sqrt(e._a_rows[i][i]) * (1.0 + abs(c[i])) for i in range(d)) ** 2 + abs(thr)
-    margin = _EDGE_MARGIN * d * d * scale
-    outer, inner = thr + margin, thr - margin
+    c, piv, mult, thr = e._center_free, e._piv, e._mult, e.chi2_threshold
     size = max(1, _CHUNK // d)
     # column j holds the chunk of prefixes of length j + 1 that the walk is
     # in: their count t_j, v_j = t_j/n - c_j, and their parent's row in
@@ -231,12 +226,12 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
     tcol: list = [None] * d
     vcol: list = [None] * d
     par: list = [None] * d
-    visited = 0
+    work = 0
 
     def walk(i, rest, partial):
-        # the chunk of prefixes of length i, which column i - 1 holds; partial
-        # sums are within the outer bound
-        nonlocal visited
+        # the chunk of prefixes of length i, which column i - 1 holds; their
+        # partial forms are within the threshold
+        nonlocal work
         anc = [slice(None)] * i  # anc[j]: each prefix's row in column j
         for j in range(i - 1, 0, -1):
             anc[j - 1] = par[j][anc[j]]
@@ -245,22 +240,30 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
             acc = acc + mult[i][j] * vcol[j][anc[j]]
         mu = c[i] - acc
         mid = n * mu
-        half = n * np.sqrt((outer - partial) / piv[i])
+        half = n * np.sqrt((thr - partial) / piv[i])
         lo = np.maximum(np.ceil(mid - half), 0.0)
         hi = np.minimum(np.floor(mid + half), rest)
         cnt = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
         ends = np.add.accumulate(cnt)
-        visited += int(ends[-1])
-        if visited > cap:
+        total = int(ends[-1])
+        work += total + 2 * k
+        if work > cap:
             raise ResourceLimitError(
-                f"ellipsoid walk visited more than candidate_cap={cap} lattice points; "
-                f"n={n}, k={k}"
+                f"ellipsoid walk's work passed candidate_cap={cap} (lattice points "
+                f"visited plus 2k per walk step); n={n}, k={k}"
             )
         if i == d - 1:
-            yield from last_level(anc, rest, partial, mid, lo, hi)
+            row = cnt.nonzero()[0]
+            if row.size:
+                prefix = np.empty((row.size, i), dtype=np.int64)
+                for j in range(i):
+                    prefix[:, j] = tcol[j][anc[j]][row]
+                yield prefix, rest[row], lo[row].astype(np.int64), hi[row].astype(np.int64)
             return
         off = lo.astype(np.int64) - (ends - cnt)  # t = off[row] + child index
-        total = int(ends[-1])
+        # release this level's index and bound arrays before descending: anc
+        # alone holds i arrays per level, O(d**2) chunks over the stack
+        del anc, acc, mid, half, lo, hi, cnt
         for start in range(0, total, size):
             idx = np.arange(start, min(start + size, total))
             p = ends.searchsorted(idx, side="right")
@@ -268,44 +271,15 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
             x = t / n
             dx = x - mu[p]
             part = partial[p] + piv[i] * (dx * dx)
-            live = (outer - part >= 0.0).nonzero()[0]
+            live = (thr - part >= 0.0).nonzero()[0]
             if live.size < idx.size:
                 p, t, x, part = p[live], t[live], x[live], part[live]
             if live.size:
                 tcol[i], vcol[i], par[i] = t, x - c[i], p
+                del idx, x, dx, live
                 yield from walk(i + 1, rest[p] - t, part)
 
-    def last_level(anc, rest, partial, mid, lo, hi):
-        # a line with lo > hi yields nothing: its inner interval is empty and
-        # so is its edge range [lo, hi]
-        i = d - 1
-        prefix = np.empty((rest.size, i), dtype=np.int64)
-        for j in range(i):
-            prefix[:, j] = tcol[j][anc[j]]
-        slack = inner - partial
-        half = n * np.sqrt(np.maximum(slack, 0.0) / piv[i])
-        lo_in = np.maximum(lo, np.ceil(mid - half))
-        hi_in = np.minimum(hi, np.floor(mid + half))
-        ok = (slack >= 0.0) & (lo_in <= hi_in)
-        lo_in = np.where(ok, lo_in, hi + 1.0)
-        hi_in = np.where(ok, hi_in, hi)
-        row = ok.nonzero()[0]
-        t0, t1 = lo_in[row].astype(np.int64), hi_in[row].astype(np.int64)
-        singles = []
-        for r in ((lo < lo_in) | (hi_in < hi)).nonzero()[0].tolist():
-            pre, m = tuple(prefix[r].tolist()), int(rest[r])
-            for t in (*range(int(lo[r]), int(lo_in[r])), *range(int(hi_in[r]) + 1, int(hi[r]) + 1)):
-                if _qform(e, pre + (t, m - t), n) <= thr:
-                    singles.append((r, t))
-        if singles:
-            sr, st = np.array(singles, dtype=np.int64).T
-            row, t0 = np.concatenate((row, sr)), np.concatenate((t0, st))
-            order = np.lexsort((t0, row))
-            row, t0, t1 = row[order], t0[order], np.concatenate((t1, st))[order]
-        if row.size:
-            yield prefix[row], rest[row], t0, t1
-
-    if outer >= 0.0:
+    if thr >= 0.0:
         yield from walk(0, np.array([n], dtype=np.int64), np.zeros(1))
 
 
@@ -314,10 +288,9 @@ def enumerate_types_in_ellipsoid(
 ) -> list[tuple[int, ...]]:
     """All length-n types inside the region, in ascending lexicographic order.
 
-    Membership is the exact form ``_qform(e, t, n) <= chi2_threshold``; the
-    Fincke-Pohst walk only skips its evaluation where the outcome is certain.
-    Raises ResourceLimitError if the walk visits more than ``cap`` lattice
-    points.
+    Membership is the walk's rule (``_lines``), which ``ellipsoid_contains``
+    decides for one type.  Raises ResourceLimitError once the walk's work,
+    its visited lattice points plus 2 k per walk step, passes ``cap``.
     """
     return [(*pre, t, m - t)
             for prefix, rest, t0, t1 in _lines(e, n, k, cap)

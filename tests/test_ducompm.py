@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import struct
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -21,7 +22,6 @@ from ucdis.ducompm import (
     DucompmConfig,
     Ellipsoid,
     ResourceLimitError,
-    _qform,
     build_ellipsoid,
     count_types_in_ellipsoid,
     decode_ducompm,
@@ -57,6 +57,14 @@ def all_types(n, k):
     return sorted(out)
 
 
+def qform(e, t, n):
+    """The region's quadratic form r v' I v, v = t/n - center over the free
+    coordinates, in plain numpy: within a few ulps of the walk's own
+    arithmetic, which is what decides membership."""
+    v = np.asarray(t[:-1]) / n - e.center[:-1]
+    return float(v @ (e.r * e.fisher) @ v)
+
+
 def bounding_box(e, n, k):
     """Per free coordinate, the integer range of the ellipsoid's axis-aligned
     bounding box, n * (center +- sqrt(q * A^-1_ii)) with A = r * Fisher,
@@ -71,7 +79,7 @@ def bounding_box(e, n, k):
 
 def box_scan_types(e, n, k):
     """Reference enumerator: every type in the bounding box, in lexicographic
-    order, kept when the exact form _qform is within the threshold."""
+    order, kept when ellipsoid_contains admits it."""
     d = k - 1
     lo, hi = bounding_box(e, n, k)
     out = []
@@ -80,7 +88,7 @@ def box_scan_types(e, n, k):
     def recurse(i, remaining):
         if i == d:
             t = partial + [remaining]
-            if _qform(e, t, n) <= e.chi2_threshold:
+            if ellipsoid_contains(e, t, n):
                 out.append(tuple(t))
             return
         for v in range(lo[i], min(hi[i], remaining) + 1):
@@ -94,10 +102,10 @@ def box_scan_types(e, n, k):
 
 def region_types(e, n, k, on_boundary):
     """The region's types, listed without the walker: the box scan, or, when a
-    type lies exactly on the boundary (the rounded bounding box can cut such a
-    type off at the box's extreme), every type filtered by the exact form."""
+    type lies on the boundary (the rounded bounding box can cut such a type
+    off at the box's extreme), every type filtered by ellipsoid_contains."""
     if on_boundary:
-        return [t for t in all_types(n, k) if _qform(e, t, n) <= e.chi2_threshold]
+        return [t for t in all_types(n, k) if ellipsoid_contains(e, t, n)]
     return box_scan_types(e, n, k)
 
 
@@ -163,6 +171,22 @@ class TestEllipsoid:
         with pytest.raises(ValueError):
             ellipsoid_contains(e, [50, 51], 100)
 
+    def test_wrong_length_rejected(self):
+        e = build_ellipsoid(np.array([0, 1] * 50), 100, 0.1, 2)
+        with pytest.raises(ValueError, match="shape"):
+            ellipsoid_contains(e, [50, 50, 0], 100)
+
+    def test_negative_count_rejected(self):
+        e = build_ellipsoid(np.array([0, 1] * 50), 100, 0.1, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ellipsoid_contains(e, [150, -50], 100)
+
+    def test_infinite_threshold_holds_every_type(self):
+        center = np.array([0.5, 0.3, 0.2])
+        e = Ellipsoid(center, 50.0, fisher_info(MEM3, center), math.inf)
+        assert all(ellipsoid_contains(e, t, 20) for t in all_types(20, 3))
+        assert enumerate_types_in_ellipsoid(e, 20, 3) == all_types(20, 3)
+
     def test_pe_domain(self):
         with pytest.raises(ValueError):
             build_ellipsoid(np.array([0, 1]), 10, 0.0, 2)
@@ -216,14 +240,15 @@ class TestEnumeration:
 
 
 @st.composite
-def ellipsoids(draw):
+def ellipsoids(draw, n_max=60):
     """(ellipsoid, n, k): Dirichlet centers, some with theta_min near 1/m for
     m up to 10^5 (ill-conditioned Fisher), r and threshold scale log-uniform,
-    and half of the thresholds placed exactly on a type.  n <= 60, but n <= 30
-    at k = 5, where the reference's box can hold the whole simplex (635,376
+    and half of the thresholds placed on a type's plain quadratic form, within
+    a few ulps of the region's edge.  n <= n_max, but n <= n_max / 2 at
+    k = 5, where the reference's box can hold the whole simplex (635,376
     types at n = 60)."""
     k = draw(st.integers(2, 5))
-    n = draw(st.integers(1, 60 if k < 5 else 30))
+    n = draw(st.integers(1, n_max if k < 5 else n_max // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     center = np.maximum(rng.dirichlet([draw(st.sampled_from([0.3, 1.0, 5.0]))] * k), 1e-12)
     if draw(st.booleans()):
@@ -239,8 +264,8 @@ def ellipsoids(draw):
                   scale * chi2_quantile_upper(k - 1, 0.1))
     on_boundary = draw(st.booleans())
     if on_boundary:
-        # a type exactly on the boundary: only the exact form can decide it
-        e.chi2_threshold = _qform(e, rng.multinomial(n, center).tolist(), n)
+        # a type on the boundary, to a few ulps: the walk's arithmetic decides it
+        e.chi2_threshold = qform(e, rng.multinomial(n, center).tolist(), n)
     return e, n, k, on_boundary
 
 
@@ -267,11 +292,50 @@ class TestWalkerAgainstBoxScan:
         assert count == len(enumerate_types_in_ellipsoid(e, n, k))
 
 
+def edge_threshold(e, t, n):
+    """The least float64 threshold whose region holds t, by bisection over the
+    threshold's bit pattern: membership only grows with the threshold, and
+    nonnegative floats order as their bits do."""
+    def holds(bits):
+        e.chi2_threshold = struct.unpack("<d", struct.pack("<q", bits))[0]
+        return ellipsoid_contains(e, t, n)
+
+    lo, hi = -1, struct.unpack("<q", struct.pack("<d", math.inf))[0]  # out, in
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+
+class TestRegionEdge:
+    @settings(max_examples=200)
+    @given(ellipsoids(n_max=16), st.integers(0, 2**32 - 1))
+    def test_walk_replay_and_listing_agree_on_the_edge(self, case, seed):
+        """The threshold sits on a type's edge, the least threshold that admits
+        it, and then one float below it.  The last level, whose partial form
+        is the largest, mostly decides the edge: there the type's count is
+        ceil(mid - half) or floor(mid + half) exactly.  At every chunk size
+        the walk lists what ellipsoid_contains admits over all types, the
+        edge type first in, then out."""
+        e, n, k, _ = case
+        t = tuple(np.random.default_rng(seed).multinomial(n, e.center).tolist())
+        edge = edge_threshold(e, t, n)
+        for q, inside in ((edge, True), (math.nextafter(edge, -math.inf), False)):
+            e.chi2_threshold = q
+            assert ellipsoid_contains(e, t, n) == inside
+            listed = [u for u in all_types(n, k) if ellipsoid_contains(e, u, n)]
+            for chunk in (1, 3, 7, ducompm._CHUNK):
+                with mock.patch.object(ducompm, "_CHUNK", chunk):
+                    assert enumerate_types_in_ellipsoid(e, n, k) == listed
+
+
 class TestUniversalHash:
     def test_deterministic(self):
         t = np.array([5, 7, 3])
         assert universal_hash(t, 42, 16) == universal_hash(t.tolist(), 42, 16)
-        assert universal_hash(t, 42, 16) != universal_hash(t, 43, 16) or True  # may collide
 
     def test_width_domain(self):
         with pytest.raises(ValueError):
@@ -327,21 +391,22 @@ def listing_decode(payload, types, cfg):
 @st.composite
 def decode_cases(draw):
     """(ellipsoid, n, k, the region's types, hash seed, b, h, payload).  The
-    types come from ``region_types``, which shares no code with the walker.
-    Half of the regions have a type just outside their boundary, which only
-    the exact form rejects.  Hash widths of 1..4 bits let several types hit;
-    half of the payloads take the rank-field width, and half of those also
-    the hash, of a type in the region or of that outside type."""
+    types come from ``region_types``, which filters with ellipsoid_contains.
+    Half of the regions have a type within an ulp of their boundary, on
+    whichever side the walk's arithmetic puts it.  Hash widths of 1..4 bits
+    let several types hit; half of the payloads take the rank-field width,
+    and half of those also the hash, of a type in the region or of that
+    boundary type."""
     e, n, k, on_boundary = draw(ellipsoids())
     near = []
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         near = [tuple(rng.multinomial(n, e.center).tolist())]
-        e.chi2_threshold = math.nextafter(_qform(e, near[0], n), -math.inf)
+        e.chi2_threshold = math.nextafter(qform(e, near[0], n), -math.inf)
     seed = draw(st.integers(0, MASK64))
     b = draw(st.integers(1, 4))
     h = draw(st.integers(0, (1 << b) - 1))
-    types = region_types(e, n, k, on_boundary)
+    types = region_types(e, n, k, on_boundary or bool(near))
     if types + near and draw(st.booleans()):
         t = draw(st.sampled_from(types + near))
         width = (multinomial_count(t) - 1).bit_length()
