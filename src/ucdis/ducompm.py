@@ -25,6 +25,8 @@ paths in :mod:`ucdis.codec` handle them.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +35,13 @@ import numpy as np
 from .codec import BitReader, BitStream, BitWriter, FramingError, _earlier_counts
 from .numerics import chi2_quantile_upper
 from .rng import MASK64, mix64, mix64_array, split_seed
-from .sources import SourceFamily, _validate_sequence, fisher_info, smoothed_estimate
+from .sources import (
+    SourceFamily,
+    _finite_integers,
+    _validate_sequence,
+    fisher_info,
+    smoothed_estimate,
+)
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -423,16 +431,107 @@ def hash_length(x, config: DucompmConfig) -> int:
     return b
 
 
+def _type_counts(t) -> list[int]:
+    """The counts of a type as nonnegative Python ints.  Integers pass as
+    they are; other values follow ``sources._validate_sequence``'s rule:
+    integer-valued floats pass, and 2.5, NaN and +-inf raise ``ValueError``."""
+    try:
+        counts = list(map(operator.index, t))
+    except TypeError:
+        _finite_integers(np.asarray(t), "type counts")
+        counts = [int(c) for c in t]
+    if counts and min(counts) < 0:
+        raise ValueError("counts must be nonnegative")
+    return counts
+
+
 def multinomial_count(counts) -> int:
     """Exact number of sequences sharing the type ``counts``."""
+    return _class_size(_type_counts(counts))
+
+
+# From _PRIME_MIN_N symbols on, a class size n! / prod c_i! is built from its
+# factorisation into primes, with no division: by Legendre's formula the
+# exponent of a prime p is sum_(j >= 1) (floor(n / p^j) - sum_i floor(c_i / p^j)),
+# and the product of the p^e is taken over the bits of e from the top down
+# (r = r^2 * the product of the primes whose e has that bit set), each
+# product by a balanced tree.  math.comb divides big numbers: it is the
+# slower from 2,048 symbols on at k <= 4, from 3,072 at k = 8 and from 4,096
+# at k = 16, and the faster below (BENCH_19.json, "crossover").  The sieve
+# holds O(n) bytes, so above _PRIME_MAX_N (a 1 MiB sieve) math.comb is used
+# again, whatever n a container claims.
+_PRIME_MIN_N = 4096
+_PRIME_MAX_N = 2**20
+
+
+def _class_size(counts: list[int]) -> int:
+    """``multinomial_count`` of counts already checked by ``_type_counts``."""
+    n = sum(counts)
+    if _PRIME_MIN_N <= n <= _PRIME_MAX_N:
+        return _class_size_from_primes(counts, n)
     total = 0
     size = 1
     for c in counts:
-        c = int(c)
-        if c < 0:
-            raise ValueError("counts must be nonnegative")
         total += c
         size *= math.comb(total, c)
+    return size
+
+
+@lru_cache(maxsize=None)
+def _primes(bits: int) -> np.ndarray:
+    """The primes up to 2^bits, by the sieve of Eratosthenes, as a read-only
+    array shared by the callers (bits <= 20: 1.4 MB for all 21 tables)."""
+    sieve = np.ones((1 << bits) + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(1 << bits) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    primes = sieve.nonzero()[0]
+    primes.setflags(write=False)
+    return primes
+
+
+def _product(xs: np.ndarray) -> int:
+    """Product of an int64 array of values below 2^31 by a balanced tree:
+    the first level in int64, the others on Python ints."""
+    if xs.size % 2:
+        xs = np.append(xs, 1)
+    xs = (xs[0::2] * xs[1::2]).tolist()
+    while len(xs) > 1:
+        odd = xs[-1:] if len(xs) % 2 else []
+        xs = [a * b for a, b in zip(xs[0::2], xs[1::2])] + odd
+    return xs[0] if xs else 1
+
+
+def _class_size_from_primes(counts: list[int], n: int) -> int:
+    """n! / prod c_i! for counts summing to n <= _PRIME_MAX_N, from its
+    prime exponents.  Primes above sqrt(n) take one term of Legendre's sum
+    (p^2 > n), as arrays; the others take the whole sum, in Python.  Equal
+    counts are taken together, and counts below 2 add nothing."""
+    primes = _primes((n - 1).bit_length())
+    primes = primes[:primes.searchsorted(n, "right")]
+    split = int(primes.searchsorted(math.isqrt(n), "right"))
+    repeats = Counter(c for c in counts if c > 1).items()
+    big = primes[split:]
+    exps = n // big
+    for c, times in repeats:
+        j = big.searchsorted(c, "right")
+        exps[:j] -= times * (c // big[:j])
+    small = []
+    for p in primes[:split].tolist():
+        e, q = 0, n
+        while q:
+            q //= p
+            e += q
+        for c, times in repeats:
+            while c:
+                c //= p
+                e -= times * c
+        small.append(e)
+    exps = np.concatenate((np.array(small, dtype=np.int64), exps))
+    size = 1
+    for bit in reversed(range(int(exps.max(initial=0)).bit_length())):
+        size = size * size * _product(primes[(exps >> bit) & 1 == 1])
     return size
 
 
@@ -446,9 +545,10 @@ def multinomial_count(counts) -> int:
 # the block, end = start * P / Q, and the block's symbols add
 # start * S / Q = end * S / P to the rank (the ranks of the sequences that
 # share the block's prefix form [start * S / Q, start * S / Q + end)).  All four
-# divisions are exact, so the block costs one big multiply-divide pair in
-# place of one pair per symbol (_block_step); P, Q and S stay near
-# 64 * log2(n) bits.  A run of symbols L followed by a run R has
+# divisions are exact, so the block costs one division of a class size and
+# two multiplications (_block_step) in place of a multiply-divide per symbol;
+# P, Q and S stay near 64 * log2(n) bits.  A run of symbols L followed by a
+# run R has
 #     S = S_L * Q_R + P_L * S_R,   P = P_L * P_R,   Q = Q_L * Q_R,
 # and (S, P, Q) = (0, 1, 1) is the empty run.  From _VECTOR_MIN symbols on,
 # type_rank builds every block with these products, pairwise over all blocks
@@ -475,6 +575,15 @@ _RANK_CHUNK = 128
 # step at 1,000-1,500 bits (measured at k=2 to 16: BENCH_11.json, CHANGES.md on
 # blocked rank/unrank), and the exact loop's cost falls with size while the
 # guess's does not.
+#
+# At each position the per-symbol loops (_guess_block, _unrank_steps) give
+# each smaller symbol c * size // total of the position's starting size and
+# the last symbol with a nonzero count what those shares leave, so at k = 2 a
+# position costs one multiply-divide.  In a window the shares round down, so
+# the last symbol's is the larger by the rounding, and a guess never runs past
+# its class once the window's rank is below its size.  k = 2 takes a branch of
+# its own: the general loop's bookkeeping made k = 2 unranks 1.25-1.38x
+# slower at n = 1,000 to 8,192 (BENCH_19.json, "two_symbol_branch").
 _GUESS_MARGIN = 128
 _GUESS_MIN_BITS = 1024
 
@@ -482,12 +591,14 @@ _GUESS_MIN_BITS = 1024
 def _block_step(size: int, s: int, div: int, mul: int) -> tuple[int, int]:
     """``(size * s // div, size * mul // div)`` for a block whose two
     quotients are exact: the rank's fold (div = P, mul = Q) and the unrank's
-    check (div = Q, mul = P).  Dividing by g = gcd(div, mul) first keeps both
-    exact: div/g divides size, since it divides size * mul/g and is prime to
-    mul/g."""
-    g = math.gcd(div, mul)
-    base = size // (div // g)
-    return base * s // g, base * (mul // g)
+    check (div = Q, mul = P), with one big division.  div divides size * s
+    and size * mul, so it divides size * g with g = gcd(s, mul).  With
+    u = gcd(div, s, mul) = gcd(div, g), div/u divides size * g/u and is
+    prime to g/u, so it divides size: base = size // (div/u) is exact, and
+    the two results are base * (s/u) and base * (mul/u)."""
+    u = math.gcd(div, s, mul)
+    base = size // (div // u)
+    return base * (s // u), base * (mul // u)
 
 
 def _loop_blocks(x: list, k: int):
@@ -565,16 +676,51 @@ def type_rank(x, k: int) -> tuple[int, int]:
     return rank, size
 
 
+def _last_symbol(counts, a: int) -> int:
+    """The largest symbol up to a with a nonzero count; 0, or a itself if it
+    is negative, when no symbol above 0 has one."""
+    while a > 0 and not counts[a]:
+        a -= 1
+    return a
+
+
 def _unrank_steps(counts, total: int, rank: int, size: int, out: list, m: int) -> tuple[int, int]:
     """Exact per-symbol unrank of the next m symbols into ``out``; returns
     the rank within, and the size of, the class of the symbols left."""
+    if len(counts) == 2:
+        c0, c1 = counts
+        for _ in range(m):
+            w = size * c0 // total
+            if rank < w:
+                out.append(0)
+                size = w
+                c0 -= 1
+            else:
+                out.append(1)
+                rank -= w
+                size -= w
+                c1 -= 1
+            total -= 1
+        counts[:] = c0, c1
+        return rank, size
+    last = _last_symbol(counts, len(counts) - 1)
+    below = range(last)
     for _ in range(m):
-        for a, c in enumerate(counts):
+        start = rank
+        for a in below:
+            c = counts[a]
             if c:
                 w = size * c // total
                 if rank < w:
                     break
                 rank -= w
+        else:
+            a = last
+            c = counts[a]
+            w = size - start + rank
+            if c == 1:
+                last = _last_symbol(counts, a - 1)
+                below = range(last)
         out.append(a)
         size = w
         counts[a] = c - 1
@@ -584,14 +730,39 @@ def _unrank_steps(counts, total: int, rank: int, size: int, out: list, m: int) -
 
 def _guess_block(counts, total: int, rank: int, size: int, m: int):
     """The per-symbol loop on a window of rank and size, building the block's
-    S and P on the way: (symbols, S, P), or None if the window's rank runs
-    past its class.  _unrank_steps stays separate: it runs on the whole tail
+    S and P on the way: (symbols, S, P), or None if the window's rank is not
+    below its size.  _unrank_steps stays separate: it runs on the whole tail
     of a class, where S and P would grow to the class size."""
+    if rank >= size:
+        return None
     symbols = []
     s_sum, num_prod = 0, 1
+    if len(counts) == 2:
+        c0, c1 = counts
+        for _ in range(m):
+            w = size * c0 // total
+            if rank < w:
+                symbols.append(0)
+                s_sum *= total
+                num_prod *= c0
+                size = w
+                c0 -= 1
+            else:
+                symbols.append(1)
+                s_sum = s_sum * total + c0 * num_prod
+                num_prod *= c1
+                rank -= w
+                size -= w
+                c1 -= 1
+            total -= 1
+        counts[:] = c0, c1
+        return symbols, s_sum, num_prod
+    last = _last_symbol(counts, len(counts) - 1)
+    below = range(last)
     for _ in range(m):
-        pre = 0
-        for a, c in enumerate(counts):
+        start, pre = rank, 0
+        for a in below:
+            c = counts[a]
             if c:
                 w = size * c // total
                 if rank < w:
@@ -599,7 +770,12 @@ def _guess_block(counts, total: int, rank: int, size: int, m: int):
                 rank -= w
                 pre += c
         else:
-            return None
+            a = last
+            c = counts[a]
+            w = size - start + rank
+            if c == 1:
+                last = _last_symbol(counts, a - 1)
+                below = range(last)
         s_sum = s_sum * total + pre * num_prod
         num_prod *= c
         symbols.append(a)
@@ -614,10 +790,10 @@ def type_unrank(t, rank: int, size: int | None = None) -> np.ndarray:
 
     ``size`` is the class size ``multinomial_count(t)`` when the caller has it.
     """
-    counts = [int(c) for c in t]
+    counts = _type_counts(t)
     total = sum(counts)
     if size is None:
-        size = multinomial_count(counts)
+        size = _class_size(counts)
     if not (0 <= rank < max(size, 1)):
         raise ValueError(f"rank {rank} out of range for class size {size}")
     out = []
@@ -708,6 +884,30 @@ def encode_ducompm(x, config: DucompmConfig) -> DCodeword:
     )
 
 
+def _may_have_width(t, n: int, w: int) -> bool:
+    """False only if the class of type t (counts summing to n) cannot have
+    rank-field width w, (|T| - 1).bit_length() == w, that is 2^(w-1) < |T| <=
+    2^w (|T| = 1 for w = 0); decided from the float estimate
+        L = (lgamma(n + 1) - sum_i lgamma(t_i + 1)) / ln 2
+    of log2 |T|, which is within err of it, so that the exact class size is
+    computed only where L is in [w - 1 - err, w + err] and has about w bits.
+
+    The bound err: each lgamma(t_i + 1) lies in [0, G], G = lgamma(n + 1), and
+    so does every partial difference (G minus part of the sum is at least
+    log |T| >= 0).  With math.lgamma within 2^-40 (G + 1) of the true value
+    (CPython's Lanczos lgamma is within a few ulps, about 2^-50 relative,
+    here), the k + 1 terms err by at most (k + 1) 2^-40 (G + 1), the k
+    subtractions round by at most k 2^-53 G, and the division by ln 2 scales
+    the sum by 1.45 and rounds once more: err = (k + 1) (G + 1) 2^-38
+    covers it with room."""
+    g = math.lgamma(n + 1)
+    nats = g
+    for c in t:
+        nats -= math.lgamma(c + 1)
+    err = (len(t) + 1) * (g + 1) * 2**-38
+    return w - 1 - err <= nats / math.log(2) <= w + err
+
+
 def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> DecodeOutcome:
     """Resolve the type inside the memory's acceptance ellipsoid and unrank.
 
@@ -715,7 +915,9 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
     exactly the transmitted rank-field width AND the transmitted rank is in
     range for it; the width and range checks are free filters that discard
     most hash collisions.  Zero survivors is a no-candidate failure, two or
-    more is ambiguous.
+    more is ambiguous.  A class size is computed exactly only for a hash hit
+    whose estimated size leaves the width possible (``_may_have_width``), so
+    the exact arithmetic is bounded by the rank field's length.
     """
     y = _validate_sequence(y, config.k)
     if y.size != config.m:
@@ -736,6 +938,8 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
     mult = _hash_multipliers(config.hash_seed & MASK64, config.k)
     survivors = []
     for t in _hash_hits(ellipsoid, n, config.k, config.candidate_cap, mult, b, h):
+        if not _may_have_width(t, n, rank_field_bits):
+            continue
         size = multinomial_count(t)
         if (size - 1).bit_length() != rank_field_bits or rank >= size:
             continue

@@ -75,6 +75,19 @@ def validate_theta(family: SourceFamily, theta) -> np.ndarray:
     return theta
 
 
+def _finite_integers(x: np.ndarray, what: str) -> np.ndarray:
+    """x as float64 once every value is checked to be a finite integer:
+    2.0 passes, and 0.5, NaN, inf, strings and None raise ``ValueError``
+    naming ``what``."""
+    try:
+        f = x.astype(np.float64) if x.dtype.kind in "fO" else None
+    except (TypeError, ValueError):
+        f = None
+    if f is None or not (np.isfinite(f).all() and (f == np.floor(f)).all()):
+        raise ValueError(f"{what} must be finite integers")
+    return f
+
+
 def _validate_sequence(x, k: int) -> np.ndarray:
     """x as a one-dimensional int64 array of symbols in [0, k).
 
@@ -85,13 +98,8 @@ def _validate_sequence(x, k: int) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
     if x.dtype.kind not in "biu" and x.size:
-        try:
-            f = x.astype(np.float64) if x.dtype.kind in "fO" else None
-        except (TypeError, ValueError):
-            f = None
-        if f is None or not (np.isfinite(f).all() and (f == np.floor(f)).all()):
-            raise ValueError("sequence symbols must be finite integers")
-        x = np.clip(f, -1, k)  # out-of-range values stay out of range, and castable
+        # out-of-range values stay out of range, and castable
+        x = np.clip(_finite_integers(x, "sequence symbols"), -1, k)
     x = x.astype(np.int64, copy=False)
     if x.size and (x.min() < 0 or x.max() >= k):
         raise ValueError(f"sequence symbols must lie in [0, {k})")

@@ -527,6 +527,24 @@ def rank_cases(draw):
     return x, k, r
 
 
+@st.composite
+def class_types(draw):
+    """Types whose class size is cheap to compute exactly, k = 2..8: any
+    counts up to 3,000 symbols; one count of up to 2^32 - 1 symbols in total
+    (a container's largest n) with the others summing to at most 40; or
+    (2^j - 1, 1), whose class size is 2^j, with zeros, in any order."""
+    k = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["any", "long", "power"]))
+    if kind == "any":
+        return tuple(draw(st.lists(st.integers(0, 3000 // k), min_size=k, max_size=k)))
+    if kind == "long":
+        t = draw(st.lists(st.integers(0, 40 // k), min_size=k - 1, max_size=k - 1))
+        t.insert(draw(st.integers(0, k - 1)), draw(st.integers(0, 2**32 - 1 - sum(t))))
+        return tuple(t)
+    j = draw(st.integers(1, 31))
+    return tuple(draw(st.permutations([2**j - 1, 1] + [0] * (k - 2))))
+
+
 class TestRanking:
     def test_two_element_class(self):
         assert type_rank([0, 1], 2) == (0, 2)
@@ -602,29 +620,124 @@ class TestRanking:
             assert type_unrank(t, r).tolist() == expected
             assert type_unrank(t, r, size).tolist() == expected
 
-    def test_wrong_guesses_are_redone_exactly(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_wrong_guesses_are_redone_exactly(self, k):
         """Guesses are accepted as they stand; one that misses the rank's
-        interval, or whose window runs past its class, is redone by the exact
-        loop: same output, and the redo ran (the exact loop is otherwise
-        called once, for the tail)."""
-        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 2000, seed=11).tolist()
-        t = type_of(x, 3)
-        r = type_rank(x, 3)[0]
+        interval, or whose window's rank is not below its size, is redone by
+        the exact loop: same output, and the redo ran (the exact loop is
+        otherwise called once, for the tail).  k = 2 runs its own branch.
+        Every checked guess is a prefix of the class: both of the check's
+        quotients are exact."""
+        family, theta = {2: (MEM2, [0.45, 0.55]), 3: (MEM3, [0.5, 0.3, 0.2])}[k]
+        x = sample_sequence(family, theta, 2000, seed=11).tolist()
+        t = type_of(x, k)
+        r = type_rank(x, k)[0]
         size = multinomial_count(t)
         real = ducompm._guess_block
+        real_step = ducompm._block_step
 
         def mirrored(counts, total, rank, size, m):  # the guess for another rank
             return real(counts, total, size - 1 - rank, size, m)
+
+        def exact_step(size, s, div, mul):
+            assert mul > 0 and size * s % div == 0 and size * mul % div == 0
+            return real_step(size, s, div, mul)
 
         for patch, least in ((contextlib.nullcontext(), 0),
                              (mock.patch.object(ducompm, "_guess_block", mirrored), 10),
                              (mock.patch.object(ducompm, "_GUESS_MARGIN", -10**6), 10)):
             with patch, mock.patch.object(ducompm, "_unrank_steps",
-                                          wraps=ducompm._unrank_steps) as steps:
+                                          wraps=ducompm._unrank_steps) as steps, \
+                    mock.patch.object(ducompm, "_block_step", exact_step):
                 assert type_unrank(t, r, size).tolist() == x
             redone = [c for c in steps.call_args_list if c.args[-1] == ducompm._RANK_BLOCK]
             assert steps.call_count == len(redone) + 1
             assert len(redone) >= least if least else redone == []
+
+    @pytest.mark.parametrize("t", [(200, 3), (200, 0, 3), (3, 200)])
+    def test_window_at_the_top_of_its_class_is_not_guessed(self, t):
+        """The last ranks of a class with few of its last symbol, guessed from
+        1 bit of class size on with no margin (a 6-bit window at size 2^21):
+        the window's rank equals its size, a window guess of the last symbol
+        would pass its count, and the block is done by the exact loop
+        instead; every checked guess is a real prefix."""
+        real_step = ducompm._block_step
+
+        def exact_step(size, s, div, mul):
+            assert mul > 0 and size * s % div == 0 and size * mul % div == 0
+            return real_step(size, s, div, mul)
+
+        size = multinomial_count(t)
+        with mock.patch.object(ducompm, "_GUESS_MIN_BITS", 1), \
+                mock.patch.object(ducompm, "_GUESS_MARGIN", 0), \
+                mock.patch.object(ducompm, "_block_step", exact_step):
+            for r in (size - 1, size - 2, 0):
+                assert type_unrank(t, r).tolist() == reference.type_unrank(t, r)
+
+    @settings(max_examples=100)
+    @given(rank_cases())
+    def test_block_step_is_the_exact_quotients(self, case):
+        """On every block of a sequence, folded from its end, _block_step
+        gives size * S / P and size * Q / P (the rank's fold, both exact),
+        and from the class size before the block, start * S / Q and
+        start * P / Q (the unrank's check), the same pair."""
+        x, k, _ = case
+        size = 1
+        for s, p, q in ducompm._loop_blocks(x, k):
+            assert size * s % p == 0 and size * q % p == 0
+            part, start = ducompm._block_step(size, s, p, q)
+            assert (part, start) == (size * s // p, size * q // p)
+            assert start * s % q == 0 and start * p % q == 0
+            assert ducompm._block_step(start, s, q, p) == (start * s // q, start * p // q)
+            assert ducompm._block_step(start, s, q, p) == (part, size)
+            size = start
+        assert size == multinomial_count(type_of(x, k))
+
+    @pytest.mark.parametrize("least, most", [(None, None), (64, 300)])
+    def test_class_size_on_both_sides_of_the_prime_limits(self, least, most):
+        """multinomial_count equals the product of binomials just below, at
+        and just above the crossover to the prime-exponent form and its upper
+        limit, with zero counts: at the real constants (the upper limit with
+        skewed classes, whose binomials are cheap) and at small patched ones."""
+        least = least or ducompm._PRIME_MIN_N
+        most = most or ducompm._PRIME_MAX_N
+
+        def binomials(t):
+            total, size = 0, 1
+            for c in t:
+                total += c
+                size *= math.comb(total, c)
+            return size
+
+        rng = np.random.default_rng(19)
+        with mock.patch.object(ducompm, "_PRIME_MIN_N", least), \
+                mock.patch.object(ducompm, "_PRIME_MAX_N", most), \
+                mock.patch.object(ducompm, "_class_size_from_primes",
+                                  wraps=ducompm._class_size_from_primes) as primes:
+            for n in (least - 1, least, least + 1, most - 1, most, most + 1):
+                skewed = [0, n - 7, 3, 0, 4]
+                types = [skewed, [n], [0, n, 0], [n - 1, 1], [1, n - 1, 0]]
+                if n < 10**4:
+                    types += [[n // 2, 0, n - n // 2],
+                              rng.multinomial(n, [0.3, 0.2, 0, 0.5]).tolist(),
+                              rng.multinomial(n, [1 / 8] * 8).tolist()]
+                for t in types:
+                    primes.reset_mock()
+                    assert multinomial_count(t) == binomials(t), (n, t)
+                    assert primes.called == (least <= n <= most), (n, t)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf])
+    def test_non_integer_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite integers"):
+            multinomial_count([bad, 1])
+        with pytest.raises(ValueError, match="finite integers"):
+            type_unrank([bad, 1], 0)
+        with pytest.raises(ValueError, match="finite integers"):
+            type_unrank(np.array([1.0, bad]), 0)
+
+    def test_integer_valued_float_counts_accepted(self):
+        assert multinomial_count([2.0, 1]) == multinomial_count(np.array([2.0, 1.0])) == 3
+        assert type_unrank([2.0, 1.0], 2).tolist() == type_unrank([2, 1], 2).tolist() == [1, 0, 0]
 
     @pytest.mark.parametrize("b", [7, 8, 11, 15, 16])
     @pytest.mark.parametrize("n_from_2b", [-1, 0])
@@ -754,6 +867,36 @@ class TestDecode:
         cfg = DucompmConfig(k=2, m=4, p_e=0.1)
         with pytest.raises(ValueError, match="32-bit"):
             decode_ducompm(DCodeword(1, 0, 0, 0).payload(), [0, 1, 0, 1], 2**32, cfg)
+
+    def test_forged_length_computes_no_class_size(self):
+        """A header that claims n = 10^6 with an 8-bit rank field: the region
+        holds 30,072 types with classes near 10^6 bits, and 14,850 of them
+        match the 1-bit hash.  The width estimate rejects every one of them,
+        so no exact class size is computed."""
+        cfg = DucompmConfig(k=2, m=3000, p_e=0.1)
+        y = sample_sequence(MEM2, [0.5, 0.5], cfg.m, seed=3)
+        payload = DCodeword(b=1, hash_value=0, rank=0, rank_bit_length=8).payload()
+        with mock.patch.object(ducompm, "_class_size", wraps=ducompm._class_size) as exact:
+            outcome = decode_ducompm(payload, y, 10**6, cfg)
+        assert outcome.failure_reason == "no-candidate"
+        assert exact.call_count == 0
+
+    @settings(max_examples=300)
+    @given(class_types())
+    @example((2**31 - 1, 1))
+    @example((0, 1, 2**31 - 1))
+    @example((1, 0))
+    def test_width_estimate_keeps_every_exact_match(self, t):
+        """The estimate never rejects a width the exact class size has, also
+        where the size is a power of two (t = (2^j - 1, 1) has 2^j sequences,
+        the largest size of width j); below 2^20 symbols it rejects widths two
+        away."""
+        n = sum(t)
+        w = (multinomial_count(t) - 1).bit_length()
+        assert ducompm._may_have_width(t, n, w)
+        if n < 2**20:
+            assert not ducompm._may_have_width(t, n, w + 2)
+            assert w < 2 or not ducompm._may_have_width(t, n, w - 2)
 
     def test_error_budget_harness(self):
         cfg = harness.ExperimentConfig(
