@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -320,26 +321,49 @@ _BLOCK = 2**16
 
 _P61 = np.uint64(MERSENNE61)
 
+# Each thread's hash-filter buffers of _BLOCK points, made on its first decode
+# and again when _BLOCK changes, then reused: a decode allocates no per-point
+# arrays, and the pages stay mapped between calls.
+_buffers = threading.local()
 
-def _addmod61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x + y mod 2^61 - 1 for x + y < 2 (2^61 - 1): where s < p, s - p wraps above s
-    s = x + y
-    return np.minimum(s, s - _P61)
+
+def _block_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's sums (uint64), scratch (uint64) and hit flags (bool)."""
+    bufs = getattr(_buffers, "bufs", None)
+    if bufs is None or bufs[0].size != _BLOCK:
+        bufs = _buffers.bufs = (np.empty(_BLOCK, np.uint64), np.empty(_BLOCK, np.uint64),
+                                np.empty(_BLOCK, np.bool_))
+    return bufs
+
+
+def _fold61(s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``s mod 2^61 - 1`` in place, for uint64 s < 2 (2^61 - 1); ``scratch``
+    is a uint64 array of s's shape."""
+    np.subtract(s, _P61, out=scratch)  # where s < p, s - p wraps above s
+    return np.minimum(s, scratch, out=s)
 
 
 def _mulmod61(a: int, t: np.ndarray) -> np.ndarray:
-    """``a * t mod 2^61 - 1`` as uint64, for 0 <= a < 2^61 and 0 <= t < 2^32.
+    """``a * t mod 2^61 - 1`` as a new uint64 array, for 0 <= a < 2^61 and
+    0 <= t < 2^32.
 
     With a = a1 2^32 + a0, the products a1 t < 2^61 and a0 t < 2^64 fit in
     uint64, and as 2^61 = 1 mod 2^61 - 1, a1 t 2^32 is congruent to
-    (a1 t >> 29) + ((a1 t mod 2^29) << 32).
+    (a1 t >> 29) + ((a1 t mod 2^29) << 32).  Three arrays of t's size.
     """
-    t = t.astype(np.uint64)
-    hi = np.uint64(a >> 32) * t
-    lo = np.uint64(a & 0xFFFFFFFF) * t
-    s = (hi >> np.uint64(29)) + ((hi & np.uint64(2**29 - 1)) << np.uint64(32))
-    s += (lo & _P61) + (lo >> np.uint64(61))  # < 2^63
-    return _addmod61(s & _P61, s >> np.uint64(61))  # < 2^61 + 4 before the fold
+    lo = t.astype(np.uint64)
+    hi = np.uint64(a >> 32) * lo
+    lo *= np.uint64(a & 0xFFFFFFFF)
+    s = hi >> np.uint64(29)
+    hi &= np.uint64(2**29 - 1)
+    hi <<= np.uint64(32)
+    s += hi
+    s += np.bitwise_and(lo, _P61, out=hi)
+    s += np.right_shift(lo, np.uint64(61), out=lo)  # < 2^63
+    np.bitwise_and(s, _P61, out=hi)
+    s >>= np.uint64(61)
+    s += hi  # < 2^61 + 4
+    return _fold61(s, hi)
 
 
 def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
@@ -350,41 +374,64 @@ def _hash_hits(e: Ellipsoid, n: int, k: int, cap: int, mult, b: int, h: int):
     multipliers, but no candidate list is built.  The hash sum is linear mod
     2^61 - 1 and rest = n - sum(prefix), so at the walker's point ``(*prefix,
     t, rest - t)`` it is ``n mult[k-1] + sum_j prefix_j (mult[j] - mult[k-1])
-    + t (mult[k-2] - mult[k-1])``.  Each chunk of the walker's runs is cut
-    into segments packed into blocks of ``_BLOCK`` points (a long run spans
-    blocks).  A block computes its segments' sums at their first points, and
-    its points' sums and mixes, as uint64 arrays.  Counts must lie below 2^32.
+    + t (mult[k-2] - mult[k-1])``.  A chunk of the walker's runs is laid out
+    as rows of one width (a long run is cut across rows, and a row past its
+    run's end is padding), and whole rows are packed into blocks of at most
+    ``_BLOCK`` points.  A block's sums are its runs' sums at their first
+    points plus the steps ``0..width-1`` times the last multiplier: one
+    broadcast add into this thread's buffers (``_block_buffers``), where the
+    fold, mix, mask and compare run in place.  Counts must lie below 2^32.
     """
     p = MERSENNE61
     w = [(mult[j] - mult[k - 1]) % p for j in range(k - 1)]
     const = np.uint64(n * mult[k - 1] % p)
     mask, want = np.uint64((1 << b) - 1), np.uint64(h)
+    sums, scratch, hit = _block_buffers()
     hits: list[tuple[int, ...]] = []
     for prefix, rest, t0, t1 in _lines(e, n, k, cap):
+        # rows as wide as the longest run, but at most _BLOCK and twice the
+        # mean run, so that N points in R runs take under 3 N + 2 R slots
         lens = t1 - t0 + 1
-        ends = np.add.accumulate(lens)
-        starts = ends - lens
-        total = int(ends[-1])
-        steps = _mulmod61(w[-1], np.arange(min(_BLOCK, int(lens.max()))))
-        for start in range(0, total, _BLOCK):
-            stop = min(start + _BLOCK, total)
-            # the runs r0..r1-1 meet this block, each in one segment
-            r0 = int(ends.searchsorted(start, side="right"))
-            r1 = int(ends.searchsorted(stop - 1, side="right")) + 1
-            first = t0[r0:r1] + np.maximum(start - starts[r0:r1], 0)
-            seg = np.minimum(ends[r0:r1], stop) - np.maximum(starts[r0:r1], start)
-            seg_start = np.add.accumulate(seg) - seg
-            at_first = _mulmod61(w[-1], first)
-            for j in range(k - 2):
-                at_first = _addmod61(at_first, _mulmod61(w[j], prefix[r0:r1, j]))
-            at_first = _addmod61(at_first, const)
-            pos = np.arange(stop - start) - seg_start.repeat(seg)
-            acc = _addmod61(at_first.repeat(seg), steps[pos])
-            for i in ((mix64_array(acc) & mask) == want).nonzero()[0].tolist():
-                s = int(seg_start.searchsorted(i, side="right")) - 1
-                r, u = r0 + s, int(first[s]) + i - int(seg_start[s])
-                hits.append((*prefix[r].tolist(), u, int(rest[r]) - u))
+        longest = int(lens.max())
+        width = min(longest, _BLOCK, 2 * -(-int(lens.sum()) // lens.size))
+        if longest > width:
+            prefix, rest, t0, t1 = _cut_runs(prefix, rest, t0, t1, width)
+        # a block's sum at (*prefix, t0 + c, rest - t0 - c) is the run's
+        # at_t0 plus the column's steps[c], which holds the constant term
+        steps = _mulmod61(w[-1], np.arange(width))
+        steps = _fold61(steps + const, np.empty_like(steps))
+        at_t0 = _mulmod61(w[-1], t0)
+        for j in range(k - 2):
+            term = _mulmod61(w[j], prefix[:, j])
+            at_t0 += term
+            _fold61(at_t0, term)
+        per = _BLOCK // width  # rows per block
+        for r0 in range(0, t0.size, per):
+            r1 = min(r0 + per, t0.size)
+            size = (r1 - r0) * width
+            acc, tmp, hot = sums[:size], scratch[:size], hit[:size]
+            np.add(at_t0[r0:r1, None], steps, out=acc.reshape(-1, width))
+            _fold61(acc, tmp)
+            mix64_array(acc, tmp)
+            np.bitwise_and(acc, mask, out=acc)
+            np.equal(acc, want, out=hot)
+            for i in hot.nonzero()[0].tolist():
+                q, col = divmod(i, width)
+                r = r0 + q
+                u = int(t0[r]) + col
+                if u <= t1[r]:
+                    hits.append((*prefix[r].tolist(), u, int(rest[r]) - u))
     return hits
+
+
+def _cut_runs(prefix, rest, t0, t1, most: int):
+    """The runs ``(prefix, rest, t0, t1)`` cut into consecutive runs of at most
+    ``most`` points each, in the same order."""
+    pieces = (t1 - t0) // most + 1
+    run = np.arange(t0.size).repeat(pieces)
+    first = np.add.accumulate(pieces) - pieces
+    t = t0[run] + (np.arange(run.size) - first[run]) * most
+    return prefix[run], rest[run], t, np.minimum(t + most - 1, t1[run])
 
 
 @lru_cache(maxsize=64)

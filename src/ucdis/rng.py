@@ -31,13 +31,18 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` elementwise over a ``uint64`` array (products wrap mod 2^64)."""
-    z = z ^ (z >> np.uint64(30))
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``mix64`` elementwise over a ``uint64`` array, in place: ``z`` holds the
+    result and is returned (products wrap mod 2^64).  ``scratch``, a ``uint64``
+    array of z's shape, holds the shifted copies.  The one caller is
+    ``ducompm._hash_hits``, which passes its reused block buffers."""
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mul)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def split_seed(seed: int, index: int) -> int:

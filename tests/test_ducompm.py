@@ -3,7 +3,9 @@
 import contextlib
 import math
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from unittest import mock
 
@@ -388,6 +390,22 @@ def listing_decode(payload, types, cfg):
     return DecodeOutcome(sequence=type_unrank(survivors[0], rank))
 
 
+def in_fresh_thread(f, *args):
+    """f(*args) in a thread of its own, which ends before this returns."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(f, *args).result()
+
+
+def traced_peak(f, *args):
+    """Peak bytes that tracemalloc traces while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @st.composite
 def decode_cases(draw):
     """(ellipsoid, n, k, the region's types, hash seed, b, h, payload).  The
@@ -440,8 +458,11 @@ class TestDecodeAgainstListing:
     @settings(max_examples=300)
     @given(st.lists(st.integers(0, MASK64), max_size=40))
     def test_mix64_array_is_mix64(self, values):
+        # in place: the argument holds the result
         values += [0, MERSENNE61 - 1, MASK64]
-        assert mix64_array(np.array(values, dtype=np.uint64)).tolist() == [mix64(v) for v in values]
+        z = np.array(values, dtype=np.uint64)
+        assert mix64_array(z, np.empty_like(z)) is z
+        assert z.tolist() == [mix64(v) for v in values]
 
     def test_memory_does_not_grow_with_the_line(self):
         # k=2: one line of about 620k points, none passing a 64-bit hash
@@ -450,9 +471,10 @@ class TestDecodeAgainstListing:
         assert count_types_in_ellipsoid(build_ellipsoid(y, n, cfg.p_e, 2), n, 2) > 600_000
         payload = DCodeword(b=64, hash_value=0x0123456789ABCDEF, rank=0,
                             rank_bit_length=0).payload()
+        # a fresh thread allocates its block buffers inside the window
         tracemalloc.start()
         try:
-            outcome = decode_ducompm(payload, y, n, cfg)
+            outcome = in_fresh_thread(decode_ducompm, payload, y, n, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -473,6 +495,48 @@ class TestDecodeAgainstListing:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_second_call_allocates_no_block(self):
+        # k=4, n=200: about 26k candidates in one block of the hash filter.
+        # Beyond the walk's own arrays, a thread's first call allocates its
+        # block buffers (17 bytes a point) and a second call only per-run
+        # arrays and numpy's broadcast buffers (at most 2 x 64 KB).
+        n, cfg = 200, DucompmConfig(k=4, m=2000, p_e=0.01)
+        y = sample_sequence(MEM4, [0.4, 0.3, 0.2, 0.1], cfg.m, seed=41)
+        e = build_ellipsoid(y, n, cfg.p_e, 4)
+        args = (e, n, 4, cfg.candidate_cap, ducompm._hash_multipliers(cfg.hash_seed, 4), 16, 5)
+        walk = traced_peak(count_types_in_ellipsoid, e, n, 4)
+        first = traced_peak(in_fresh_thread, ducompm._hash_hits, *args)
+        ducompm._hash_hits(*args)
+        second = traced_peak(ducompm._hash_hits, *args)
+        block = 8 * ducompm._BLOCK
+        assert block < first - walk < 3 * block
+        assert second - walk < block // 2
+
+    def test_threads_decode_at_once(self):
+        # each thread has its own block buffers: two decodes with different
+        # hash seeds both fill their one block before either mixes it, and
+        # still decode their own sequences
+        n, theta = 200, [0.4, 0.3, 0.2, 0.1]
+        y = sample_sequence(MEM4, theta, 2000, seed=43)
+        cfgs = [DucompmConfig(k=4, m=2000, p_e=0.01, hash_seed=s) for s in (1, 2)]
+        xs = [sample_sequence(MEM4, theta, n, seed=s) for s in (44, 45)]
+        payloads = [encode_ducompm(x, c).payload() for x, c in zip(xs, cfgs)]
+
+        def decoded(payload, cfg):
+            return decode_ducompm(payload, y, n, cfg).sequence.tolist()
+
+        assert [decoded(p, c) for p, c in zip(payloads, cfgs)] == [x.tolist() for x in xs]
+        meet, mix = threading.Barrier(2, timeout=30), ducompm.mix64_array
+
+        def mix_together(z, scratch):
+            meet.wait()
+            return mix(z, scratch)
+
+        with mock.patch.object(ducompm, "mix64_array", mix_together), \
+                ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(decoded, payloads, cfgs))
+        assert got == [x.tolist() for x in xs]
 
 
 class TestHashLength:
