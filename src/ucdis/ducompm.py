@@ -5,10 +5,14 @@ of its sequence's type (count vector) plus the enumerative rank of the
 sequence within its type class.  The decoder builds an acceptance ellipsoid
 around the memory's smoothed parameter estimate, enumerates every type inside
 it, and keeps the ones matching the hash: exactly one survivor decodes, zero
-or several is a declared failure.  Decoding errors (declared plus silent)
-stay below the permissible error probability by sizing the ellipsoid from the
-chi-square quantile and the hash from the candidate count and a collision
-budget.
+or several is a declared failure.  Two parts of the error are sized, both
+approximately: the ellipsoid, from the chi-square quantile at 1 - p_e, is
+meant to miss the true type with probability about p_e (the quantile is
+asymptotic; at k=3, n=300, m=3000, p_e=0.05 the exact miss averaged over
+Jeffreys parameters is 0.051), and the hash, from the candidate count and a
+collision budget beta, is meant to let a wrong candidate through with
+probability about beta.  So the design's error budget is p_e + beta (2 p_e
+by default), and no bound on the total is shown.
 
 One rule decides which types are inside an ellipsoid: the float64
 arithmetic of the Fincke-Pohst walk that lists them (``_lines``), which
@@ -62,9 +66,12 @@ class DucompmConfig:
     """Shared offline parameters (the wire carries none of these).
 
     ``collision_budget`` beta defaults to p_e and is the only hash-width
-    knob: the encoder counts N candidate types and sends
-    b = ceil(log2(N / beta)) hash bits, so a wrong in-ellipsoid type survives
-    the hash with probability at most beta in total.
+    knob: the encoder counts N candidate types around its own estimate and
+    sends b = ceil(log2(N / beta)) hash bits.  That sizes the hash for about
+    beta in total for wrong in-ellipsoid types surviving it, on top of the
+    region's p_e.  It is approximate: N is the encoder's surrogate count,
+    not the decoder's, and no collision bound is proven for the mixed,
+    truncated hash, so beta is a heuristic, not a bound.
     """
 
     k: int
@@ -462,20 +469,22 @@ def hash_length(x, config: DucompmConfig) -> int:
     estimate with the decoder's (r, threshold) recipe, counts the candidate
     types N inside, and uses b = ceil(log2(N / beta)) bits, beta being the
     collision budget (p_e unless set): each of about N wrong candidates
-    survives the hash with probability 2^-b, at most beta / N.
+    survives the hash with probability 2^-b, at most beta / N.  A ratio
+    N / beta above 2^64 (inf when a tiny beta overflows it) raises
+    ``ValueError``.
     """
     x = _validate_sequence(x, config.k)
     n = x.size
     budget = config.p_e if config.collision_budget is None else config.collision_budget
     surrogate = _ellipsoid(x, n, config.m, config.p_e, config.k)
     n_hat = max(1, count_types_in_ellipsoid(surrogate, n, config.k, cap=config.candidate_cap))
-    b = max(1, math.ceil(math.log2(n_hat / budget)))
-    if b > 64:
+    ratio = n_hat / budget
+    if ratio > 2.0**64:  # also catches inf, whose log2 has no integer ceiling
         raise ValueError(
-            f"required hash width {b} exceeds 64 bits "
+            "required hash width exceeds 64 bits "
             f"(candidates={n_hat}, collision budget={budget:g})"
         )
-    return b
+    return max(1, math.ceil(math.log2(ratio)))
 
 
 def _type_counts(t) -> list[int]:

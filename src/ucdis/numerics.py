@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import chdtri
-
 LOG2E = 1.0 / math.log(2.0)
 
 
@@ -24,6 +22,9 @@ def chi2_quantile_upper(d: int, p_upper: float) -> float:
         raise ValueError(f"chi2_quantile_upper requires d >= 1, got {d}")
     if not (0.0 < p_upper < 1.0):
         raise ValueError(f"upper-tail probability must lie in (0,1), got {p_upper}")
+    # imported here, not at load (~0.3 s, ~20 MB): only ducompm regions and exact bounds call this
+    from scipy.special import chdtri
+
     return float(chdtri(d, p_upper))
 
 

@@ -1,10 +1,15 @@
 """CLI tests: subcommands, exit codes, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ucdis
 from ucdis import cli, codec, harness
 from ucdis.sources import memoryless, sample_sequence
 
@@ -13,6 +18,19 @@ def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_validation_error(capsys, *args, names):
+    """The command exits 1 with no traceback and an error naming ``names``:
+    one ``error:`` line, and a JSON object under ``--json``."""
+    for mode in ([], ["--json"]):
+        code, _, err = run_cli(capsys, *mode, *args)
+        assert code == 1
+        assert "Traceback" not in err
+        message = json.loads(err)["error"]["message"] if mode else err
+        assert names in message
+        if not mode:
+            assert err.startswith("error: ")
 
 
 class TestBounds:
@@ -300,6 +318,17 @@ class TestDucompmCli:
         assert code == 3
         assert "failure" in err
 
+    def test_hash_width_overflow_is_a_validation_error(self, capsys, tmp_path):
+        # p_e = 1e-320 makes N / beta overflow to inf
+        src = tmp_path / "x.bin"
+        self._write_seq(src, memoryless(3), [0.5, 0.3, 0.2], 300, seed=101)
+        assert_validation_error(
+            capsys, "encode", "--strategy", "ducompm", "--in", str(src),
+            "--out", str(tmp_path / "w.ucds"), "--k", "3", "--pe", "1e-320",
+            "--memory-len", "3000", names="exceeds 64 bits",
+        )
+        assert not (tmp_path / "w.ucds").exists()
+
 
 class TestDecodeWithMemory:
     """ucompm and ducompm containers decode only with a memory file of the
@@ -461,6 +490,12 @@ class TestExperimentCli:
                 assert err.startswith("error: ")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_hash_width_overflow_is_a_validation_error(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, strategies=["ducompm"], collision_budget=1e-320, trials=2)
+        assert_validation_error(capsys, "experiment", "--config", str(cfg),
+                                "--out", str(tmp_path / "o.csv"), names="exceeds 64 bits")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_coverage_csv(self, capsys, tmp_path):
         cfg = self._config(tmp_path, strategies=["ducompm"], trials=40)
         out = tmp_path / "cov.csv"
@@ -483,3 +518,54 @@ class TestExperimentCli:
                                    "--out", str(tmp_path / "o.csv"), "--threads", threads)
             assert code == 1 and "--threads" in err and threads in err
         assert not (tmp_path / "o.csv").exists()
+
+
+class TestScipyOnFirstQuantile:
+    """scipy.special loads on the first chi-square quantile, which only
+    ducompm regions and exact ducompm bounds compute; each case runs its
+    commands through ``cli.main`` in a fresh interpreter."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from ucdis import cli\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+
+    def _loaded_after_each(self, *commands):
+        src = str(Path(ucdis.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return json.loads(run.stdout.splitlines()[-1])
+
+    def _write(self, path, n, seed):
+        x = sample_sequence(memoryless(3), [0.5, 0.3, 0.2], n, seed)
+        path.write_bytes(bytes(np.asarray(x, dtype=np.uint8)))
+        return str(path)
+
+    def test_lossless_commands_do_not_load_scipy(self, tmp_path):
+        x, y = self._write(tmp_path / "x.bin", 300, 41), self._write(tmp_path / "y.bin", 3000, 42)
+        out = {name: str(tmp_path / name) for name in ("u.ucds", "u.bin", "m.ucds", "m.bin")}
+        commands = [
+            ["encode", "--strategy", "ucomp", "--k", "3", "--in", x, "--out", out["u.ucds"]],
+            ["decode", "--in", out["u.ucds"], "--out", out["u.bin"]],
+            ["encode", "--strategy", "ucompm", "--k", "3", "--in", x, "--memory", y,
+             "--out", out["m.ucds"]],
+            ["decode", "--in", out["m.ucds"], "--memory", y, "--out", out["m.bin"]],
+            ["bounds", "--strategy", "ucomp", "--k", "3", "--n", "300"],
+        ]
+        assert self._loaded_after_each(*commands) == [False] * len(commands)
+        assert Path(out["u.bin"]).read_bytes() == Path(out["m.bin"]).read_bytes() \
+            == Path(x).read_bytes()
+
+    def test_ducompm_encode_loads_scipy(self, tmp_path):
+        x = self._write(tmp_path / "x.bin", 300, 41)
+        encode = ["encode", "--strategy", "ducompm", "--k", "3", "--pe", "0.05",
+                  "--memory-len", "3000", "--in", x, "--out", str(tmp_path / "d.ucds")]
+        assert self._loaded_after_each(encode) == [True]

@@ -568,6 +568,24 @@ class TestHashLength:
         b = hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
         assert b == max(1, math.ceil(math.log2(max(1, n_hat) / beta)))
 
+    @pytest.mark.parametrize("budget", [1e-320, 1e-30])
+    def test_width_beyond_64_bits_rejected(self, budget):
+        # N / beta overflows to inf at 1e-320 and is finite but past 2^64 at 1e-30
+        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
+        with pytest.raises(ValueError, match="exceeds 64 bits"):
+            hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
+
+    def test_width_at_the_64_bit_edge(self, monkeypatch):
+        # one candidate: N / beta = 2^64 takes 64 bits, and any larger ratio
+        # is rejected, although its float log2 rounds down to 64.0
+        monkeypatch.setattr(ducompm, "count_types_in_ellipsoid", lambda *a, **kw: 1)
+        x = np.array([0, 1])
+        assert hash_length(x, DucompmConfig(k=2, m=10, p_e=0.5, collision_budget=2.0**-64)) == 64
+        below = math.nextafter(2.0**-64, 0.0)
+        assert math.ceil(math.log2(1 / below)) == 64
+        with pytest.raises(ValueError, match="exceeds 64 bits"):
+            hash_length(x, DucompmConfig(k=2, m=10, p_e=0.5, collision_budget=below))
+
 
 @st.composite
 def rank_cases(draw):
