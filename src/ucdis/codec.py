@@ -1,12 +1,24 @@
 """Strictly lossless coding core: integer arithmetic coder driven by KT counts.
 
 The coder is a classic carry-free integer-interval coder (64-bit registers,
-MSB-first bit output, deferred-underflow renormalization) that moves the
-settled bits of each narrowing through word-based bit I/O in one call.
-Probability models feed it exact integer frequency intervals; the
-Krichevsky-Trofimov model, ``KTCoderModel``, uses freq(a) = 2*count(a) + 1
-over total = 2*N + k so the implied probabilities (count + 1/2)/(N + k/2) are
-exact rationals, keeping encoder and decoder states identical bit for bit.
+MSB-first bit output, the deferred-underflow renormalization of Witten, Neal
+and Cleary, CACM 30(6), 1987).  Probability models feed it exact integer
+frequency intervals; the Krichevsky-Trofimov model, ``KTCoderModel``, uses
+freq(a) = 2*count(a) + 1 over total = 2*N + k so the implied probabilities
+(count + 1/2)/(N + k/2) are exact rationals, keeping encoder and decoder
+states identical bit for bit.
+
+Each symbol renormalizes in one step, with no call and no loop.  After a
+narrowing, low and high agree on their nb leading bits: those are settled and
+shift out together.  The underflow doublings follow; the textbook coder makes
+one while bit 62 is 1 in low and 0 in high (low in the second quarter, high
+in the third).  A doubling shifts a 0 into low and a 1 into high, so the
+doublings stop at the first original position, from bit 62 down, where that
+pattern fails.  With e3 = low & ~high, their number is the count of leading
+ones of e3 below bit 63, nu = 63 - ((e3 & _HALF_MASK) ^ _HALF_MASK).bit_length()
+whenever e3 & _SECOND, and one shift by nu applies them all.  The settle
+shifts nb zeros into e3's low bits, so nu <= 63 - nb when nb < 64, and
+nb = 64 means low == high, which leaves no underflow: nb + nu <= 64.
 
 The encoder knows its input, so it reads every interval from the model's
 ``schedule``, which computes them from counts with numpy ahead of the coder
@@ -278,12 +290,21 @@ def ac_encode(model, symbols) -> BitStream:
     of each symbol in turn, and the capacity check runs once per block.  The
     emitted length never exceeds the model's ideal codelength
     -log2 prod p(x_i | x^(i-1)) by more than 2 bits.
+
+    Each symbol makes the one renormalization step of the module docstring
+    and no call: it writes its settled bits, with the pending underflow bits
+    spliced in after the first, into ``BitWriter``'s accumulator, which the
+    loop keeps in locals and flushes in whole bytes as ``write_uint`` does,
+    then adds its underflow count to ``pending``.  A ``BitWriter`` takes the
+    accumulator back for the termination and ``getvalue``.
     """
+    STATE_BITS, MASK, TOP, SECOND, HALF_MASK = _STATE_BITS, _MASK, _TOP, _SECOND, _HALF_MASK
     low = 0
-    high = _MASK
+    high = MASK
     pending = 0
     w = BitWriter()
-    write_uint = w.write_uint
+    buf = w.buf
+    acc = nacc = 0
     for los, his, totals in model.schedule(symbols):
         if totals.max() > _MAX_TOTAL:
             raise ValueError("model total exceeds coder capacity")
@@ -292,19 +313,34 @@ def ac_encode(model, symbols) -> BitStream:
             high = low + span * hi // t - 1
             low = low + span * lo // t
             # low and high agree on their nb leading bits: those are settled.
-            nb = _STATE_BITS - (low ^ high).bit_length()
+            nb = STATE_BITS - (low ^ high).bit_length()
             if nb:
-                # The pending underflow bits are the inverse of the first
-                # settled bit and follow it; adding (2^pending - 1) << (nb - 1)
-                # splices them in for either value of that bit.
-                write_uint((low >> (_STATE_BITS - nb)) + (((1 << pending) - 1) << (nb - 1)), nb + pending)
-                pending = 0
-                low = (low << nb) & _MASK
-                high = ((high << nb) & _MASK) | ((1 << nb) - 1)
-            while low & ~high & _SECOND:
-                pending += 1
-                low = (low << 1) & _HALF_MASK
-                high = ((high << 1) & _HALF_MASK) | _TOP | 1
+                if pending:
+                    # The pending underflow bits are the inverse of the first
+                    # settled bit and follow it; adding (2^pending - 1) << (nb - 1)
+                    # splices them in for either value of that bit.
+                    acc = (acc << (nb + pending)) | ((low >> (STATE_BITS - nb)) + (((1 << pending) - 1) << (nb - 1)))
+                    nacc += pending
+                    pending = 0
+                else:
+                    acc = (acc << nb) | (low >> (STATE_BITS - nb))
+                nacc += nb
+                if nacc >= 64:
+                    keep = nacc & 7
+                    buf += (acc >> keep).to_bytes(nacc >> 3, "big")
+                    acc &= (1 << keep) - 1
+                    nacc = keep
+                low = (low << nb) & MASK
+                high = ((high << nb) & MASK) | ((1 << nb) - 1)
+            # nu underflow doublings in one shift; their bits stay pending
+            e3 = low & ~high
+            if e3 & SECOND:
+                nu = 63 - ((e3 & HALF_MASK) ^ HALF_MASK).bit_length()
+                pending += nu
+                low = (low << nu) & HALF_MASK
+                high = ((high << nu) & HALF_MASK) | TOP | ((1 << nu) - 1)
+    w.acc = acc
+    w.nacc = nacc
     # Quarter-disambiguation termination: two bits plus any pending underflow
     # bits pin a dyadic interval inside [low, high] regardless of how the
     # stream is padded afterwards.  The final window is wider than a quarter,
@@ -312,7 +348,7 @@ def ac_encode(model, symbols) -> BitStream:
     # The first of the two bits is 0 if low < _SECOND else 1; the second and
     # the pending bits are its inverse, spliced in as above.
     pending += 1
-    write_uint((low >> (_STATE_BITS - 2)) + (1 << pending) - 1, pending + 1)
+    w.write_uint((low >> (STATE_BITS - 2)) + (1 << pending) - 1, pending + 1)
     return w.getvalue()
 
 
@@ -327,20 +363,32 @@ def ac_decode(model, bits: BitStream, n: int):
     markov1 switches to the decoded symbol's context.  The descent steps and
     the nodes above each symbol follow from the tree size, once per call.
 
+    The code register is kept as its offset ``v = code - low`` in the
+    interval, so the target is ((v + 1) * total - 1) // span.  A settle shift
+    and an underflow shift both double v and append a stream bit, so each
+    symbol shifts ``nb + nu`` bits into v at once (module docstring), and
+    ``nb + nu <= 64`` lets one 64-bit refill of a local window over
+    ``BitReader(bits).data`` serve every symbol.  That data has its pad bits
+    zeroed, and the window reads zeros past its end, so positions at or past
+    ``bit_length`` read as zero as ``BitReader`` reads them.
+
     A stream the encoder wrote is consumed to exactly ``bit_length + 62``
     bits: the 64-bit preload and the renormalization reads match the encoder's
     output less its two termination bits.  Reading past that, or stopping
     short of it, means the stream or ``n`` is forged: FramingError.
     """
-    r = BitReader(bits)
-    read_uint = r.read_uint
-    limit = bits.bit_length + _STATE_BITS - 2
-    used = _STATE_BITS
+    STATE_BITS, MASK, TOP, SECOND, HALF_MASK = _STATE_BITS, _MASK, _TOP, _SECOND, _HALF_MASK
+    data = BitReader(bits).data
+    limit = bits.bit_length + STATE_BITS - 2
+    used = STATE_BITS
     if used > limit:
         raise FramingError(f"payload of {bits.bit_length} bits is shorter than any coded stream")
-    code = read_uint(_STATE_BITS)
+    v = int.from_bytes(data[:8].ljust(8, b"\0"), "big")
+    # the low nwin bits of window are the stream's next bits; data[pos:] follows
+    pos = 8
+    window = nwin = 0
     low = 0
-    high = _MASK
+    high = MASK
     out = []
     append = out.append
     trees, weight_rows, markov = model.trees, model.weights, model.markov
@@ -356,7 +404,7 @@ def ac_decode(model, bits: BitStream, n: int):
     for _ in range(n):
         t = tree[top]
         span = high - low + 1
-        target = ((code - low + 1) * t - 1) // span
+        target = ((v + 1) * t - 1) // span
         # s ends as the last symbol whose interval starts at or below target.
         # steps leave out top itself: target < t = tree[top] never takes it.
         s = 0
@@ -368,25 +416,33 @@ def ac_decode(model, bits: BitStream, n: int):
                 s += step
         lo = target - rem
         high = low + span * (lo + weights[s]) // t - 1
-        low = low + span * lo // t
-        nb = _STATE_BITS - (low ^ high).bit_length()
-        if nb:
-            used += nb
-            code = ((code << nb) & _MASK) | read_uint(nb)
-            low = (low << nb) & _MASK
-            high = ((high << nb) & _MASK) | ((1 << nb) - 1)
-        nu = 0
-        while low & ~high & _SECOND:
-            nu += 1
-            low = (low << 1) & _HALF_MASK
-            high = ((high << 1) & _HALF_MASK) | _TOP | 1
-        if nu:
-            used += nu
-            code = (code & _TOP) | ((code << nu) & _HALF_MASK) | read_uint(nu)
-        if used > limit:
-            raise FramingError(
-                f"payload of {bits.bit_length} bits overrun after {len(out) + 1} of {n} symbols"
-            )
+        a = span * lo // t
+        low += a
+        v -= a
+        # sh = nb + nu bits shift into v: the settled ones, then the underflow ones
+        sh = STATE_BITS - (low ^ high).bit_length()
+        if sh:
+            low = (low << sh) & MASK
+            high = ((high << sh) & MASK) | ((1 << sh) - 1)
+        e3 = low & ~high
+        if e3 & SECOND:
+            nu = 63 - ((e3 & HALF_MASK) ^ HALF_MASK).bit_length()
+            low = (low << nu) & HALF_MASK
+            high = ((high << nu) & HALF_MASK) | TOP | ((1 << nu) - 1)
+            sh += nu
+        if sh:
+            used += sh
+            if sh > nwin:
+                chunk = data[pos : pos + 8]
+                window = ((window & ((1 << nwin) - 1)) << 64) | int.from_bytes(chunk.ljust(8, b"\0"), "big")
+                pos += 8
+                nwin += 64
+            nwin -= sh
+            v = (v << sh) | ((window >> nwin) & ((1 << sh) - 1))
+            if used > limit:
+                raise FramingError(
+                    f"payload of {bits.bit_length} bits overrun after {len(out) + 1} of {n} symbols"
+                )
         for i in up[s + 1]:
             tree[i] += inc
         weights[s] += inc
@@ -398,7 +454,7 @@ def ac_decode(model, bits: BitStream, n: int):
         model.ctx = out[-1]
     if used != limit:
         raise FramingError(
-            f"{n} symbols used {used - _STATE_BITS + 2} of {bits.bit_length} payload bits"
+            f"{n} symbols used {used - STATE_BITS + 2} of {bits.bit_length} payload bits"
         )
     return out
 

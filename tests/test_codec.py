@@ -179,6 +179,30 @@ class TestArithmeticCoder:
             stepped.advance(s)
         assert (model.trees, model.weights, model.ctx) == (stepped.trees, stepped.weights, stepped.ctx)
 
+    @pytest.mark.parametrize("kind,k", [(MEMORYLESS, 3), (MEMORYLESS, 256), (MARKOV1, 16)])
+    def test_coder_loops_make_no_bit_io_call(self, kind, k, monkeypatch):
+        # Both loops keep their bits in locals: the encoder calls write_uint
+        # once, for the termination, and the decoder never calls read_uint.
+        calls = []
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args):
+                calls.append(name)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(codec.BitWriter, "write_uint")
+        count(codec.BitReader, "read_uint")
+        fam = SourceFamily(kind, k)
+        x = np.random.default_rng(k).integers(0, k, size=2000).tolist()
+        bits = ac_encode(KTCoderModel(fam), x)
+        assert calls == ["write_uint"]
+        assert ac_decode(KTCoderModel(fam), bits, len(x)) == x
+        assert calls == ["write_uint"]
+
     def test_zero_frequency_symbol_rejected(self):
         with pytest.raises(ValueError):
             ac_encode(FixedModel([1, 0]), [1])

@@ -9,6 +9,8 @@ models, and the word I/O against single-bit I/O at arbitrary widths and
 positions.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,15 +95,24 @@ def reference_decode(model, stream: BitStream, n: int, ends=None):
     return out
 
 
+def _under_capacity(freqs):
+    total = sum(freqs)
+    if total <= codec._MAX_TOTAL:
+        return freqs
+    return [f * codec._MAX_TOTAL // total for f in freqs]
+
+
 @st.composite
 def coded_inputs(draw):
     """(model factory, symbols): KT from empty or primed counts, memoryless or
     markov1, or a fixed model whose frequencies may be tiny, huge or zero."""
     kind = draw(st.sampled_from(["kt", "kt-primed", "markov1", "fixed"]))
     if kind == "fixed":
+        # Frequencies up to 2^61 reach narrowings that settle 62 to 64 bits;
+        # lists over the coder's capacity are scaled down under it.
         freqs = draw(st.lists(
-            st.one_of(st.integers(0, 3), st.integers(0, 1 << 40)), min_size=1, max_size=12,
-        ).filter(any))
+            st.one_of(st.integers(0, 3), st.integers(0, 1 << 61)), min_size=1, max_size=12,
+        ).map(_under_capacity).filter(any))
         alphabet = [a for a, f in enumerate(freqs) if f]
         x = draw(st.lists(st.sampled_from(alphabet), max_size=400))
         return (lambda: FixedModel(freqs)), x
@@ -158,6 +169,27 @@ class TestCoderAgainstReference:
             assert bits == reference_encode(FixedModel([1, 2, 1]), [1] * n)
             assert bits.bit_length == n + 2
             assert codec.ac_decode(FixedModel([1, 2, 1]), bits, n) == [1] * n
+
+    def test_renormalization_extremes(self):
+        # A symbol of probability about 2^-62 settles 62 to 64 bits in one
+        # narrowing: the last symbol of [0, 2, 0, 1] leaves low == high (64)
+        # under the first model.  Other last steps settle some bits and
+        # underflow the rest: [0, 0, 2, 1] settles 62 and underflows 1, and
+        # [1, 1] settles 2 and underflows 60 under the first model, and
+        # [1, 1, 0] settles 60 and underflows 2 under the second.  The
+        # reference decoder's reads per symbol show the widest shifts reached.
+        for freqs, widest in (([2**61, 1, 2**61], 64), ([1, 2**62], 63)):
+            alphabet = [a for a, f in enumerate(freqs) if f]
+            widths = set()
+            for n in range(6):
+                for x in map(list, itertools.product(alphabet, repeat=n)):
+                    bits = codec.ac_encode(FixedModel(freqs), x)
+                    assert bits == reference_encode(FixedModel(freqs), x)
+                    assert codec.ac_decode(FixedModel(freqs), bits, n) == x
+                    ends = []
+                    assert reference_decode(FixedModel(freqs), bits, n, ends) == x
+                    widths.update(b - a for a, b in zip([64] + ends, ends))
+            assert max(widths) == widest and {62, 63} <= widths
 
 
 class TestWordBitIO:
