@@ -55,6 +55,16 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
 
+def _check_n_finite(n):
+    # the terms and the rate divide by n as a float
+    try:
+        if math.isfinite(n):
+            return
+    except OverflowError:
+        pass
+    raise ValueError("n must convert to a finite float")
+
+
 _OMITTED_N = "O(1/n) remainder omitted"
 _OMITTED_NM = "O(1/m + 1/n) remainder omitted"
 _MARKOV_NOTE = "markov1 Jeffreys integral uses the per-row factorization approximation"
@@ -64,6 +74,7 @@ def redundancy_ucomp(family: SourceFamily, n: int) -> RedundancyBreakdown:
     """(d/2) log2(n / 2 pi e) + log2 integral sqrt(det I), to O(1/n)."""
     if n < 2:
         raise ValueError(f"redundancy_ucomp requires n >= 2, got {n}")
+    _check_n_finite(n)
     d = family.d
     notes = [_OMITTED_N]
     if family.kind == MARKOV1:
@@ -86,6 +97,7 @@ def redundancy_ucompm(d: int, n: int, m: int) -> RedundancyBreakdown:
     """(d/2) log2(1 + n/m), to O(1/m + 1/n); vanishes as the memory grows."""
     if n < 1 or m < 1:
         raise ValueError(f"redundancy_ucompm requires n, m >= 1, got n={n}, m={m}")
+    _check_n_finite(n)
     return RedundancyBreakdown(
         strategy=UCOMPM,
         d=d,

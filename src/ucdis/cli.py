@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -42,9 +44,30 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_bytes(path: str, data: bytes):
+    """Write ``data`` over ``path`` in place, then cut a longer regular file to length.
+
+    Opening with O_TRUNC empties a non-empty file first, and ext4 (with its
+    default auto_da_alloc) then flushes that file on close: about 0.1 ms per
+    output against a few µs in place.  The bytes, the inode and a new file's
+    mode (0o666 & ~umask) are those of ``open(path, "wb")``; nothing calls
+    fsync.  A failed write cuts the file to the bytes written, so the old
+    file's tail never follows the new bytes.
+    """
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            info = os.fstat(fd)
+            # only a regular file longer than what is written needs a cut
+            old_size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+            view, written = memoryview(data), 0
+            try:
+                while written < len(view):
+                    written += os.write(fd, view[written:])
+            finally:
+                if old_size > written:
+                    os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as e:
         raise OSError(f"cannot write {path}: {e}") from e
 

@@ -56,6 +56,25 @@ class TestUcompm:
         assert bounds.redundancy_ucompm(255, 512, 10**15).total_bits < 1e-7
 
 
+class TestNonFiniteLength:
+    # n enters the terms and the rate as a float
+    @pytest.mark.parametrize("n", [10**400, float("inf"), float("nan")],
+                             ids=["400-digits", "inf", "nan"])
+    def test_every_strategy_names_n(self, n):
+        for evaluate in (lambda: bounds.redundancy_ucomp(MEM4, n),
+                         lambda: bounds.redundancy_ucompm(3, n, 5),
+                         lambda: bounds.redundancy_ducompm(MEM4, n, 5, 0.1, "approx"),
+                         lambda: bounds.redundancy_ducompm(MEM4, n, 5, 0.1, "exact"),
+                         lambda: bounds.redundancy_ducompm(MEM4, n, 5, 0.0)):
+            with pytest.raises(ValueError, match="n must convert to a finite float"):
+                evaluate()
+
+    def test_largest_finite_length_is_evaluated(self):
+        n = int(1e300)
+        assert bounds.redundancy_ucompm(3, n, n).rate == pytest.approx(1.5 / 1e300)
+        assert math.isfinite(bounds.redundancy_ucomp(MEM4, n).rate)
+
+
 class TestCapacityDifference:
     def test_jeffreys_terms_cancel(self):
         assert bounds.capacity_difference_check(MEM2, 1000, 1000) == pytest.approx(0.5, abs=1e-9)

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, file round-trips."""
 
+import errno
 import json
 import os
 import subprocess
@@ -90,6 +91,16 @@ class TestBounds:
                                  "--m", "-5", "--n", "5")
         assert code == 1 and out == ""
         assert "m must be >= 1" in err
+
+    @pytest.mark.parametrize("strategy", [
+        ["--strategy", "ucomp"],
+        ["--strategy", "ucompm", "--m", "5"],
+        ["--strategy", "ducompm", "--m", "5", "--pe", "0.1", "--mode", "approx"],
+        ["--strategy", "ducompm", "--m", "5", "--pe", "0.1", "--mode", "exact"],
+    ], ids=["ucomp", "ucompm", "ducompm-approx", "ducompm-exact"])
+    def test_length_beyond_a_float_is_a_validation_error(self, capsys, strategy):
+        assert_validation_error(capsys, "bounds", "--k", "4", "--n", str(10**400), *strategy,
+                                names="n must convert to a finite float")
 
 
 class TestRepeatedMain:
@@ -228,6 +239,84 @@ class TestEncodeDecode:
         code, _, _ = run_cli(capsys, "encode", "--strategy", "ucomp",
                              "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "o"))
         assert code == 2
+
+
+class TestOutputWriter:
+    """Outputs are written in place and cut to length: the bytes, the inode
+    and a new file's mode are those of a truncating write."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(23)
+        paths = {name: tmp_path / f"{name}.bin" for name in ("long", "short")}
+        paths["long"].write_bytes(rng.integers(0, 16, size=4096, dtype=np.uint8).tobytes())
+        paths["short"].write_bytes(bytes([3, 1, 4, 1, 5]))
+        return paths
+
+    def _encode(self, capsys, src, out, *mode):
+        return run_cli(capsys, *mode, "encode", "--strategy", "ucomp", "--k", "16",
+                       "--in", str(src), "--out", str(out))
+
+    def test_shorter_output_over_a_longer_file(self, capsys, tmp_path, files):
+        enc, fresh = tmp_path / "w.ucds", tmp_path / "fresh.ucds"
+        assert self._encode(capsys, files["long"], enc)[0] == 0
+        long_size, inode = enc.stat().st_size, enc.stat().st_ino
+        assert self._encode(capsys, files["short"], enc)[0] == 0
+        assert self._encode(capsys, files["short"], fresh)[0] == 0
+        assert enc.read_bytes() == fresh.read_bytes()
+        assert enc.stat().st_size < long_size and enc.stat().st_ino == inode
+        back = tmp_path / "back.bin"
+        assert run_cli(capsys, "decode", "--in", str(enc), "--out", str(back))[0] == 0
+        assert back.read_bytes() == files["short"].read_bytes()
+
+    def test_decode_over_a_larger_file(self, capsys, tmp_path, files):
+        enc, back = tmp_path / "w.ucds", tmp_path / "back.bin"
+        assert self._encode(capsys, files["short"], enc)[0] == 0
+        back.write_bytes(b"\xff" * 10_000)
+        assert run_cli(capsys, "decode", "--in", str(enc), "--out", str(back))[0] == 0
+        assert back.read_bytes() == files["short"].read_bytes()
+
+    def test_new_file_mode_follows_the_umask(self, capsys, tmp_path, files):
+        old = os.umask(0o027)
+        try:
+            assert self._encode(capsys, files["short"], tmp_path / "w.ucds")[0] == 0
+        finally:
+            os.umask(old)
+        assert (tmp_path / "w.ucds").stat().st_mode & 0o777 == 0o640
+
+    def test_dev_null(self, capsys, files):
+        assert self._encode(capsys, files["long"], os.devnull) == (0, "", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_dev_full_is_an_io_error(self, capsys, files):
+        for mode in ([], ["--json"]):
+            code, _, err = self._encode(capsys, files["long"], "/dev/full", *mode)
+            assert code == 2
+            assert "Traceback" not in err
+            if mode:
+                assert json.loads(err)["error"]["message"].startswith("cannot write /dev/full")
+            else:
+                assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
+
+    def test_failed_write_leaves_only_the_written_bytes(self, capsys, tmp_path, files,
+                                                       monkeypatch):
+        enc = tmp_path / "w.ucds"
+        enc.write_bytes(b"\xff" * 10_000)
+        real_write, calls = os.write, []
+
+        def short_then_full(fd, data):
+            calls.append(bytes(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", short_then_full)
+        code, _, err = self._encode(capsys, files["long"], enc)
+        monkeypatch.undo()
+        assert code == 2
+        assert err.startswith(f"error: cannot write {enc}: [Errno {errno.ENOSPC}]")
+        assert len(calls) == 2 and calls[1] == calls[0][7:]
+        assert enc.read_bytes() == calls[0][:7]
 
 
 class TestDucompmCli:
