@@ -55,14 +55,14 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
 
-def _check_n_finite(n):
-    # the terms and the rate divide by n as a float
+def _check_finite(name: str, value):
+    # n and m enter the formulas as floats, and the rate divides by n
     try:
-        if math.isfinite(n):
+        if math.isfinite(value):
             return
     except OverflowError:
         pass
-    raise ValueError("n must convert to a finite float")
+    raise ValueError(f"{name} must convert to a finite float")
 
 
 _OMITTED_N = "O(1/n) remainder omitted"
@@ -74,7 +74,7 @@ def redundancy_ucomp(family: SourceFamily, n: int) -> RedundancyBreakdown:
     """(d/2) log2(n / 2 pi e) + log2 integral sqrt(det I), to O(1/n)."""
     if n < 2:
         raise ValueError(f"redundancy_ucomp requires n >= 2, got {n}")
-    _check_n_finite(n)
+    _check_finite("n", n)
     d = family.d
     notes = [_OMITTED_N]
     if family.kind == MARKOV1:
@@ -97,7 +97,7 @@ def redundancy_ucompm(d: int, n: int, m: int) -> RedundancyBreakdown:
     """(d/2) log2(1 + n/m), to O(1/m + 1/n); vanishes as the memory grows."""
     if n < 1 or m < 1:
         raise ValueError(f"redundancy_ucompm requires n, m >= 1, got n={n}, m={m}")
-    _check_n_finite(n)
+    _check_finite("n", n)
     return RedundancyBreakdown(
         strategy=UCOMPM,
         d=d,
@@ -117,6 +117,7 @@ def capacity_difference_check(family: SourceFamily, n: int, m: int) -> float:
     """
     if m < 2:
         raise ValueError(f"capacity_difference_check requires m >= 2, got {m}")
+    _check_finite("m", m)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
@@ -217,6 +218,8 @@ def ellipsoid_measure(
     _check_mode(mode)
     if n < 1 or m < 1:
         raise ValueError(f"ellipsoid_measure requires n, m >= 1, got n={n}, m={m}")
+    _check_finite("n", n)
+    _check_finite("m", m)
     d = family.d
     delta = delta_d(d, p_e) if mode == "exact" else delta_approx(d, p_e)
     r = n * m / (n + m)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds, codec, ducompm, harness
-from .sources import MARKOV1, MEMORYLESS, SourceFamily
+from .sources import MARKOV1, MEMORYLESS, SourceFamily, context_counts
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -138,7 +138,7 @@ def cmd_encode(args) -> int:
             if args.memory is None:
                 raise ValueError("--memory is required for strategy ucompm")
             y = _symbols_from_file(args.memory, args.k)
-        payload = codec.encode_ucompm(family, y, x)
+        payload = codec.encode_ucompm(family, context_counts(family, y, initial_context=0), x)
         m, p_e = len(y), 0.0
     else:
         if args.memory is not None:
@@ -156,15 +156,8 @@ def cmd_encode(args) -> int:
         )
         payload = ducompm.encode_ducompm(x, cfg).payload()
         m, p_e = args.memory_len, args.pe
-    container = codec.Container(
-        strategy=args.strategy,
-        family_kind=family.kind,
-        k=args.k,
-        n=x.size,
-        m=m,
-        p_e=p_e,
-        payload=payload,
-    )
+    container = codec.Container(strategy=args.strategy, family_kind=family.kind, k=args.k,
+                                n=x.size, m=m, p_e=p_e, payload=payload)
     _write_bytes(args.out, codec.pack_container(container))
     return EXIT_OK
 
@@ -183,8 +176,9 @@ def cmd_decode(args) -> int:
         y = _symbols_from_file(args.memory, container.k)
         if y.size != container.m:
             raise ValueError(f"memory length {y.size} does not match container m={container.m}")
+    counts = context_counts(family, y, initial_context=0)
     if container.strategy != "ducompm":
-        x = codec.decode_ucompm(family, y, container.payload, container.n)
+        x = codec.decode_ucompm(family, counts, container.payload, container.n)
     else:
         if family.kind != MEMORYLESS:
             raise ValueError(
@@ -194,7 +188,7 @@ def cmd_decode(args) -> int:
         cfg = ducompm.DucompmConfig(
             k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
         )
-        outcome = ducompm.decode_ducompm(container.payload, y, container.n, cfg)
+        outcome = ducompm.decode_ducompm(container.payload, counts, container.n, cfg)
         if not outcome.ok:
             raise _DeclaredFailure(f"declared decode failure: {outcome.failure_reason}")
         x = outcome.sequence

@@ -26,9 +26,10 @@ loop.  The decoder learns each symbol only from the interval it locates, and
 its loop makes no model call either: it reads and updates the model's tables,
 a Fenwick tree over the interval weights per context, in place.
 
-Coding with a shared memory sequence (ucompm) starts that model from the
-memory's counts on both sides; an empty memory gives universal coding without
-memory (ucomp), from zero counts.
+Coding with a shared memory (ucompm) starts that model from the memory's
+counts on both sides, the memory y entering only as
+``context_counts(family, y, initial_context=0)``; zero counts give universal
+coding without memory (ucomp).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import MARKOV1, MEMORYLESS, SourceFamily, _validate_sequence, context_counts
+from .sources import MARKOV1, MEMORYLESS, SourceFamily, _validate_counts, _validate_sequence
 
 _STATE_BITS = 64
 _MASK = (1 << _STATE_BITS) - 1
@@ -459,22 +460,19 @@ def ac_decode(model, bits: BitStream, n: int):
     return out
 
 
-def _primed_state(family: SourceFamily, y: np.ndarray) -> KTCoderModel:
-    # consume the memory along its context chain, initial context 0
-    return KTCoderModel(family, context_counts(family, y, initial_context=0))
+def _primed_state(family: SourceFamily, counts) -> KTCoderModel:
+    return KTCoderModel(family, _validate_counts(family, counts))
 
 
-def encode_ucompm(family: SourceFamily, y, x) -> BitStream:
-    """Universal coding with counts primed by the shared memory sequence y;
-    an empty memory is ucomp."""
-    y = _validate_sequence(y, family.k)
-    x = _validate_sequence(x, family.k)
-    return ac_encode(_primed_state(family, y), x)
+def encode_ucompm(family: SourceFamily, counts, x) -> BitStream:
+    """Universal coding of x with the KT model primed by the shared memory's
+    ``counts``, ``context_counts(family, y, initial_context=0)`` of the memory
+    y; all-zero counts (an empty memory) are ucomp."""
+    return ac_encode(_primed_state(family, counts), x)
 
 
-def decode_ucompm(family: SourceFamily, y, bits: BitStream, n: int) -> np.ndarray:
-    y = _validate_sequence(y, family.k)
-    return np.array(ac_decode(_primed_state(family, y), bits, n), dtype=np.int64)
+def decode_ucompm(family: SourceFamily, counts, bits: BitStream, n: int) -> np.ndarray:
+    return np.array(ac_decode(_primed_state(family, counts), bits, n), dtype=np.int64)
 
 
 # --- container format -------------------------------------------------------

@@ -43,6 +43,7 @@ from .rng import MASK64, mix64, mix64_array, split_seed
 from .sources import (
     SourceFamily,
     _finite_integers,
+    _validate_counts,
     _validate_sequence,
     fisher_info,
     smoothed_estimate,
@@ -138,12 +139,12 @@ def type_of(x, k: int) -> np.ndarray:
     return np.bincount(x, minlength=k)
 
 
-def _ellipsoid(seq, n: int, m: int, p_e: float, k: int) -> Ellipsoid:
-    # the region's recipe, shared by the decoder (seq = memory) and the
-    # encoder's surrogate (seq = its own sequence): smoothed center, Fisher
+def _ellipsoid(counts, n: int, m: int, p_e: float, k: int) -> Ellipsoid:
+    # the region's recipe, shared by the decoder (the memory's counts) and the
+    # encoder's surrogate (its own sequence's type): smoothed center, Fisher
     # matrix there, r = n m / (n + m), chi-square_(k-1) quantile at 1 - p_e
     family = SourceFamily("memoryless", k)
-    center = smoothed_estimate(family, seq)
+    center = smoothed_estimate(family, counts)
     return Ellipsoid(
         center=center,
         r=n * m / (n + m),
@@ -152,17 +153,17 @@ def _ellipsoid(seq, n: int, m: int, p_e: float, k: int) -> Ellipsoid:
     )
 
 
-def build_ellipsoid(y, n: int, p_e: float, k: int) -> Ellipsoid:
-    """Decoder acceptance region for a length-n type, from memory sequence y."""
-    y = _validate_sequence(y, k)
-    m = y.size
+def build_ellipsoid(counts, n: int, p_e: float, k: int) -> Ellipsoid:
+    """Decoder acceptance region for a length-n type, from the memory's
+    counts, a (1, k) array; the memory length m is their sum."""
+    m = int(_validate_counts(SourceFamily("memoryless", k), counts).sum())
     if m < 1:
-        raise ValueError("memory sequence must be nonempty")
+        raise ValueError("memory must be nonempty: counts sum to 0")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 < p_e < 1.0):
         raise ValueError(f"p_e must lie in (0,1), got {p_e}")
-    return _ellipsoid(y, n, m, p_e, k)
+    return _ellipsoid(counts, n, m, p_e, k)
 
 
 # Prefixes the walk holds at once.  Its stack keeps one chunk of at most
@@ -476,7 +477,7 @@ def hash_length(x, config: DucompmConfig) -> int:
     x = _validate_sequence(x, config.k)
     n = x.size
     budget = config.p_e if config.collision_budget is None else config.collision_budget
-    surrogate = _ellipsoid(x, n, config.m, config.p_e, config.k)
+    surrogate = _ellipsoid([np.bincount(x, minlength=config.k)], n, config.m, config.p_e, config.k)
     n_hat = max(1, count_types_in_ellipsoid(surrogate, n, config.k, cap=config.candidate_cap))
     ratio = n_hat / budget
     if ratio > 2.0**64:  # also catches inf, whose log2 has no integer ceiling
@@ -964,8 +965,10 @@ def _may_have_width(t, n: int, w: int) -> bool:
     return w - 1 - err <= nats / math.log(2) <= w + err
 
 
-def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> DecodeOutcome:
+def decode_ducompm(payload: BitStream, counts, n: int, config: DucompmConfig) -> DecodeOutcome:
     """Resolve the type inside the memory's acceptance ellipsoid and unrank.
+
+    ``counts`` are the memory's symbol counts, a (1, k) array summing to m.
 
     A candidate survives only if its hash matches AND its class size implies
     exactly the transmitted rank-field width AND the transmitted rank is in
@@ -975,9 +978,9 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
     whose estimated size leaves the width possible (``_may_have_width``), so
     the exact arithmetic is bounded by the rank field's length.
     """
-    y = _validate_sequence(y, config.k)
-    if y.size != config.m:
-        raise ValueError(f"memory length {y.size} != configured m={config.m}")
+    m = int(_validate_counts(SourceFamily("memoryless", config.k), counts).sum())
+    if m != config.m:
+        raise ValueError(f"memory length {m} != configured m={config.m}")
     if n >= 2**32:  # the hash filter's uint64 arithmetic needs counts below 2^32
         raise ValueError(f"n={n} does not fit the container's 32-bit length field")
     if payload.bit_length < 16:
@@ -990,7 +993,7 @@ def decode_ducompm(payload: BitStream, y, n: int, config: DucompmConfig) -> Deco
     rank_field_bits = payload.bit_length - 16 - b
     rank = r.read_uint(rank_field_bits)
 
-    ellipsoid = build_ellipsoid(y, n, config.p_e, config.k)
+    ellipsoid = build_ellipsoid(counts, n, config.p_e, config.k)
     mult = _hash_multipliers(config.hash_seed & MASK64, config.k)
     survivors = []
     for t in _hash_hits(ellipsoid, n, config.k, config.candidate_cap, mult, b, h):

@@ -27,6 +27,7 @@ from .sources import (
     MARKOV1,
     MEMORYLESS,
     SourceFamily,
+    context_counts,
     entropy_rate,
     sample_jeffreys,
     sample_sequence,
@@ -165,12 +166,8 @@ class ExperimentConfig:
 
     def ducompm_config(self) -> ducompm.DucompmConfig:
         return ducompm.DucompmConfig(
-            k=self.k,
-            m=self.m,
-            p_e=self.p_e,
-            hash_seed=self.hash_seed,
-            collision_budget=self.collision_budget,
-            candidate_cap=self.candidate_cap,
+            k=self.k, m=self.m, p_e=self.p_e, hash_seed=self.hash_seed,
+            collision_budget=self.collision_budget, candidate_cap=self.candidate_cap,
         )
 
 
@@ -211,17 +208,18 @@ class TrialData:
 
 
 def _draw(cfg: ExperimentConfig, t: int, need_memory: bool = True):
-    """Trial t's (family, theta, y, x): split seeds 0, 1 and 2 of the trial
-    seed draw theta, the memory y (None unless ``need_memory``) and x."""
+    """Trial t's (family, theta, counts, x): split seeds 0, 1 and 2 of the
+    trial seed draw theta, the memory y (empty unless ``need_memory``) and x;
+    counts are ``context_counts(family, y, initial_context=0)``."""
     family = SourceFamily(cfg.family_kind, cfg.k)
     trial_seed = split_seed(cfg.master_seed, t)
     if cfg.theta is not None:
         theta = validate_theta(family, np.asarray(cfg.theta, dtype=np.float64))
     else:
         theta = sample_jeffreys(family, split_seed(trial_seed, 0))
-    y = sample_sequence(family, theta, cfg.m, split_seed(trial_seed, 1)) if need_memory else None
+    y = sample_sequence(family, theta, cfg.m, split_seed(trial_seed, 1)) if need_memory else ()
     x = sample_sequence(family, theta, cfg.n, split_seed(trial_seed, 2))
-    return family, theta, y, x
+    return family, theta, context_counts(family, y, initial_context=0), x
 
 
 def _map_trials(fn, cfg: ExperimentConfig, workers: int) -> list:
@@ -238,10 +236,10 @@ def _map_trials(fn, cfg: ExperimentConfig, workers: int) -> list:
 
 def _experiment_trial(cfg: ExperimentConfig, t: int):
     need_memory = "ucompm" in cfg.strategies or "ducompm" in cfg.strategies
-    family, theta, y, x = _draw(cfg, t, need_memory)
+    family, theta, counts, x = _draw(cfg, t, need_memory)
     h_bits = cfg.n * entropy_rate(family, theta)
     lens, errs = {}, {}
-    for s, memory in (("ucomp", ()), ("ucompm", y)):
+    for s, memory in (("ucomp", np.zeros_like(counts)), ("ucompm", counts)):
         if s in cfg.strategies:
             stream = codec.encode_ucompm(family, memory, x)
             if not np.array_equal(codec.decode_ucompm(family, memory, stream, cfg.n), x):
@@ -251,7 +249,7 @@ def _experiment_trial(cfg: ExperimentConfig, t: int):
     if "ducompm" in cfg.strategies:
         dcfg = cfg.ducompm_config()
         word = ducompm.encode_ducompm(x, dcfg)
-        outcome = ducompm.decode_ducompm(word.payload(), y, cfg.n, dcfg)
+        outcome = ducompm.decode_ducompm(word.payload(), counts, cfg.n, dcfg)
         ok = outcome.ok and np.array_equal(outcome.sequence, x)
         lens["ducompm"] = float(word.coded_bits)
         errs["ducompm"] = 0.0 if ok else 1.0
@@ -290,27 +288,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
         lens = data.lengths[s]
         red = lens - data.entropy_bits
         stderr = float(red.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-        out.append(
-            SummaryRow(
-                strategy=s,
-                k=cfg.k,
-                n=cfg.n,
-                m=cfg.m,
-                p_e=cfg.p_e if s == "ducompm" else 0.0,
-                trials=cfg.trials,
-                avg_len_bits=float(lens.mean()),
-                avg_redundancy_bits=float(red.mean()),
-                stderr_bits=stderr,
-                error_rate=float(data.errors[s].mean()),
-                theory_bits=_theory_bits(cfg, s),
-            )
-        )
+        out.append(SummaryRow(
+            strategy=s, k=cfg.k, n=cfg.n, m=cfg.m, p_e=cfg.p_e if s == "ducompm" else 0.0,
+            trials=cfg.trials, avg_len_bits=float(lens.mean()),
+            avg_redundancy_bits=float(red.mean()), stderr_bits=stderr,
+            error_rate=float(data.errors[s].mean()), theory_bits=_theory_bits(cfg, s),
+        ))
     return out
 
 
 def _coverage_trial(cfg: ExperimentConfig, t: int) -> float:
-    _, _, y, x = _draw(cfg, t)
-    e = ducompm.build_ellipsoid(y, cfg.n, cfg.p_e, cfg.k)
+    _, _, counts, x = _draw(cfg, t)
+    e = ducompm.build_ellipsoid(counts, cfg.n, cfg.p_e, cfg.k)
     return 1.0 if ducompm.ellipsoid_contains(e, ducompm.type_of(x, cfg.k), cfg.n) else 0.0
 
 
@@ -327,15 +316,8 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> CoverageReport:
     if errs:
         raise ValidationError(errs)
     hits = _map_trials(_coverage_trial, cfg, workers)
-    return CoverageReport(
-        k=cfg.k,
-        n=cfg.n,
-        m=cfg.m,
-        p_e=cfg.p_e,
-        trials=cfg.trials,
-        empirical_coverage=float(np.mean(hits)),
-        target=1.0 - cfg.p_e,
-    )
+    return CoverageReport(k=cfg.k, n=cfg.n, m=cfg.m, p_e=cfg.p_e, trials=cfg.trials,
+                          empirical_coverage=float(np.mean(hits)), target=1.0 - cfg.p_e)
 
 
 def _fmt(v) -> str:

@@ -77,11 +77,11 @@ def validate_theta(family: SourceFamily, theta) -> np.ndarray:
 
 def _finite_integers(x: np.ndarray, what: str) -> np.ndarray:
     """x as float64 once every value is checked to be a finite integer:
-    2.0 passes, and 0.5, NaN, inf, strings and None raise ``ValueError``
-    naming ``what``."""
+    2.0 passes, and 0.5, NaN, inf, integers beyond a float, strings and None
+    raise ``ValueError`` naming ``what``."""
     try:
         f = x.astype(np.float64) if x.dtype.kind in "fO" else None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         f = None
     if f is None or not (np.isfinite(f).all() and (f == np.floor(f)).all()):
         raise ValueError(f"{what} must be finite integers")
@@ -104,6 +104,21 @@ def _validate_sequence(x, k: int) -> np.ndarray:
     if x.size and (x.min() < 0 or x.max() >= k):
         raise ValueError(f"sequence symbols must lie in [0, {k})")
     return x
+
+
+def _validate_counts(family: SourceFamily, counts) -> np.ndarray:
+    """counts as the (contexts, k) int64 array ``context_counts`` returns:
+    nonnegative integers, checked as ``_validate_sequence`` checks symbols,
+    whose total fits int64, so that every sum over them is exact."""
+    c = np.asarray(counts)
+    shape = (1 if family.kind == MEMORYLESS else family.k, family.k)
+    if c.shape != shape:
+        raise ValueError(f"counts shape {c.shape} does not match family {shape}")
+    if c.dtype.kind not in "biu":
+        c = _finite_integers(c, "counts")
+    if c.min() < 0 or (c.max() >= 2**63 // c.size and sum(map(int, c.flat)) >= 2**63):
+        raise ValueError("counts must be nonnegative and total below 2**63")
+    return c.astype(np.int64, copy=False)
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -183,11 +198,11 @@ def context_counts(family: SourceFamily, seq, initial_context: int | None = None
     return np.bincount(prev * k + cur, minlength=k * k).reshape(k, k)
 
 
-def smoothed_estimate(family: SourceFamily, x) -> np.ndarray:
-    """Posterior-mean estimate (c + 1/2) / (n + k/2); strictly interior, n = 0 allowed."""
-    counts = context_counts(family, x)
-    rows = counts.sum(axis=1, keepdims=True)
-    out = (counts + 0.5) / (rows + 0.5 * family.k)
+def smoothed_estimate(family: SourceFamily, counts) -> np.ndarray:
+    """Posterior-mean estimate (c + 1/2) / (n + k/2) per row of ``counts``;
+    strictly interior, n = 0 allowed."""
+    counts = _validate_counts(family, counts)
+    out = (counts + 0.5) / (counts.sum(axis=1, keepdims=True) + 0.5 * family.k)
     return out[0] if family.kind == MEMORYLESS else out
 
 

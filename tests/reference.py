@@ -88,6 +88,12 @@ class FixedModel:
         yield lo, hi, np.full(x.size, self.cum[-1], dtype=np.int64)
 
 
+def memory_counts(family: SourceFamily, memory=()) -> np.ndarray:
+    """What the codecs read of a memory sequence: its counts with initial
+    context 0, all zeros for the empty memory (ucomp)."""
+    return context_counts(family, memory, initial_context=0)
+
+
 def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
     """Ideal KT codelength -log2 prod (c+1/2)/(N+k/2), via gamma identities.
 

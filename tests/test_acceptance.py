@@ -16,7 +16,7 @@ from ucdis import bounds, cli, codec, ducompm, harness
 from ucdis.numerics import chi2_quantile_upper, log2_unit_ball_volume
 from ucdis.sources import memoryless
 
-from reference import ideal_kt_bits, reg_gamma_upper
+from reference import ideal_kt_bits, memory_counts, reg_gamma_upper
 
 
 def _report(num, elapsed, limit, detail):
@@ -188,13 +188,13 @@ def test_criterion_09_strict_losslessness():
             theta = rng.dirichlet([0.5] * k)
             x = rng.choice(k, size=n, p=theta)
             if i % 2 == 0:
-                stream = codec.encode_ucompm(fam, (), x)
-                back = codec.decode_ucompm(fam, (), stream, n)
+                stream = codec.encode_ucompm(fam, memory_counts(fam), x)
+                back = codec.decode_ucompm(fam, memory_counts(fam), stream, n)
                 ideal = ideal_kt_bits(fam, x)
             else:
                 y = rng.choice(k, size=n // 2, p=theta)
-                stream = codec.encode_ucompm(fam, y, x)
-                back = codec.decode_ucompm(fam, y, stream, n)
+                stream = codec.encode_ucompm(fam, memory_counts(fam, y), x)
+                back = codec.decode_ucompm(fam, memory_counts(fam, y), stream, n)
                 ideal = ideal_kt_bits(fam, x, memory=y)
             assert np.array_equal(back, x), f"mismatch k={k} case {i}"
             assert stream.bit_length <= ideal + 2 + 1e-6, f"length bound k={k} case {i}"
@@ -205,8 +205,8 @@ def test_criterion_09_strict_losslessness():
         theta = rng.dirichlet([0.5] * k)
         x = rng.choice(k, size=n, p=theta)
         y = rng.choice(k, size=n // 2, p=theta)
-        stream = codec.encode_ucompm(fam, y, x)
-        assert np.array_equal(codec.decode_ucompm(fam, y, stream, n), x)
+        stream = codec.encode_ucompm(fam, memory_counts(fam, y), x)
+        assert np.array_equal(codec.decode_ucompm(fam, memory_counts(fam, y), stream, n), x)
         assert stream.bit_length <= ideal_kt_bits(fam, x, memory=y) + 2 + 1e-6
         total += 1
     assert total == 10_000

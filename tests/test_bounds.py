@@ -74,6 +74,18 @@ class TestNonFiniteLength:
         assert bounds.redundancy_ucompm(3, n, n).rate == pytest.approx(1.5 / 1e300)
         assert math.isfinite(bounds.redundancy_ucomp(MEM4, n).rate)
 
+    def test_ellipsoid_measure_names_the_length(self):
+        # r = n m / (n + m) used to overflow a float with an OverflowError
+        with pytest.raises(ValueError, match="n must convert to a finite float"):
+            bounds.ellipsoid_measure(MEM4, 10**400, 10**400, 0.05)
+        with pytest.raises(ValueError, match="m must convert to a finite float"):
+            bounds.ellipsoid_measure(MEM4, 5, 10**400, 0.05)
+
+    def test_capacity_difference_names_m(self):
+        # it evaluates redundancy_ucomp at n + m, whose check named n
+        with pytest.raises(ValueError, match="^m must convert to a finite float"):
+            bounds.capacity_difference_check(MEM4, 5, 10**400)
+
 
 class TestCapacityDifference:
     def test_jeffreys_terms_cancel(self):

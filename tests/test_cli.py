@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ucdis
-from ucdis import cli, codec, harness
+from ucdis import cli, codec, ducompm, harness, sources
 from ucdis.sources import memoryless, sample_sequence
 
 
@@ -222,7 +223,7 @@ class TestEncodeDecode:
     def test_alphabet_beyond_a_byte_rejected(self, capsys, tmp_path):
         # symbols >= 256 would wrap in the one-byte-per-symbol output file
         fam = memoryless(300)
-        payload = codec.encode_ucompm(fam, (), np.array([299, 5, 299, 257]))
+        payload = codec.encode_ucompm(fam, np.zeros((1, 300), np.int64), np.array([299, 5, 299, 257]))
         enc, back = tmp_path / "w.ucds", tmp_path / "back.bin"
         enc.write_bytes(codec.pack_container(codec.Container(
             "ucomp", "memoryless", 300, 4, 0, 0.0, payload)))
@@ -459,6 +460,23 @@ class TestDecodeWithMemory:
         assert not back.exists()
         assert self._decode(capsys, enc, back, "--memory", str(files["y"]))[0] == 0
         assert back.read_bytes() == files["x"].read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["ucompm", "ducompm"])
+    def test_memory_checked_and_counted_once(self, capsys, tmp_path, files, strategy,
+                                             monkeypatch):
+        # the codecs take the memory's counts: the command reads, checks and
+        # counts the 3,000-symbol memory once
+        enc, back = self._encode(capsys, files, strategy), tmp_path / "back.bin"
+        checked = []
+        for module in (sources, codec, ducompm):
+            real = module._validate_sequence
+            monkeypatch.setattr(module, "_validate_sequence",
+                                lambda x, k, real=real: checked.append(len(x)) or real(x, k))
+        counted = mock.Mock(wraps=sources.context_counts)
+        monkeypatch.setattr(cli, "context_counts", counted)
+        assert self._decode(capsys, enc, back, "--memory", str(files["y"]))[0] == 0
+        assert back.read_bytes() == files["x"].read_bytes()
+        assert checked.count(3000) == 1 and counted.call_count == 1
 
     def test_ucomp_decode_ignores_memory(self, capsys, tmp_path, files):
         enc = self._encode(capsys, files, "ucomp")

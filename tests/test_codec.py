@@ -31,7 +31,7 @@ from ucdis.sources import (
     sample_sequence,
 )
 
-from reference import FixedModel, ideal_kt_bits
+from reference import FixedModel, ideal_kt_bits, memory_counts
 from test_coder_reference import coded_inputs
 
 MEM2 = memoryless(2)
@@ -104,7 +104,7 @@ class TestKTCoderModel:
 
     def test_symbol_out_of_range(self):
         with pytest.raises(ValueError):
-            codec.encode_ucompm(memoryless(2), (), [0, 2])
+            codec.encode_ucompm(MEM2, memory_counts(MEM2), [0, 2])
 
     @settings(max_examples=300)
     @given(primed_kt_models(), st.data())
@@ -153,8 +153,8 @@ class TestArithmeticCoder:
             rng = np.random.default_rng(seed)
             theta = rng.dirichlet([0.5] * 4)
             x = rng.choice(4, size=5000, p=theta)
-            bits = codec.encode_ucompm(MEM4, (), x)
-            assert np.array_equal(codec.decode_ucompm(MEM4, (), bits, 5000), x), f"seed {seed}"
+            bits = codec.encode_ucompm(MEM4, memory_counts(MEM4), x)
+            assert np.array_equal(codec.decode_ucompm(MEM4, memory_counts(MEM4), bits, 5000), x), f"seed {seed}"
 
     @pytest.mark.parametrize("kind,k", [(MEMORYLESS, 3), (MARKOV1, 16)])
     def test_decoder_loop_makes_no_model_call(self, kind, k):
@@ -212,15 +212,15 @@ class TestArithmeticCoder:
         # bit_length + 62 bits after 1 symbol at k=256 and after 5215 at k=2.
         for k, after in ((256, 1), (2, 5215)):
             with pytest.raises(FramingError, match=f"overrun after {after} of 200000 symbols"):
-                codec.decode_ucompm(memoryless(k), (), BitStream(b"\x00", 8), 200_000)
+                codec.decode_ucompm(memoryless(k), memory_counts(memoryless(k)), BitStream(b"\x00", 8), 200_000)
 
     def test_stream_must_be_consumed_exactly(self):
         x = sample_sequence(MEM4, [0.1, 0.2, 0.3, 0.4], 500, seed=3)
-        bits = codec.encode_ucompm(MEM4, (), x)
+        bits = codec.encode_ucompm(MEM4, memory_counts(MEM4), x)
         with pytest.raises(FramingError):  # 8 extra trailing bits
-            codec.decode_ucompm(MEM4, (), BitStream(bits.data + b"\x00", bits.bit_length + 8), 500)
+            codec.decode_ucompm(MEM4, memory_counts(MEM4), BitStream(bits.data + b"\x00", bits.bit_length + 8), 500)
         with pytest.raises(FramingError):  # a header n one short
-            codec.decode_ucompm(MEM4, (), bits, 499)
+            codec.decode_ucompm(MEM4, memory_counts(MEM4), bits, 499)
         with pytest.raises(FramingError):  # no coded stream is shorter than 2 bits
             ac_decode(KTCoderModel(MEM2), BitStream(b"", 0), 0)
 
@@ -274,7 +274,7 @@ class TestSchedule:
 
         x = np.random.default_rng(6).integers(0, 5, size=400)
         bits = ac_encode(ScheduleOnly(memoryless(5)), x)
-        assert bits == codec.encode_ucompm(memoryless(5), (), x)
+        assert bits == codec.encode_ucompm(memoryless(5), memory_counts(memoryless(5)), x)
 
     def test_total_over_capacity(self):
         # 2 * 2^62 + k would wrap in int64 and slip under the check unclipped
@@ -300,16 +300,16 @@ class TestUcomp:
             for _ in range(60):
                 n = int(rng.integers(0, 1200))
                 x = rng.integers(0, fam.k, size=n)
-                bits = codec.encode_ucompm(fam, (), x)
+                bits = codec.encode_ucompm(fam, memory_counts(fam), x)
                 ideal = ideal_kt_bits(fam, x)
                 assert bits.bit_length <= math.ceil(ideal) + 2
                 assert bits.bit_length >= math.floor(ideal)  # termination never undercuts
-                assert np.array_equal(codec.decode_ucompm(fam, (), bits, n), x)
+                assert np.array_equal(codec.decode_ucompm(fam, memory_counts(fam), bits, n), x)
 
     def test_determinism(self):
         x = sample_sequence(MEM4, [0.1, 0.2, 0.3, 0.4], 2000, seed=17)
-        a = codec.encode_ucompm(MEM4, (), x)
-        b = codec.encode_ucompm(MEM4, (), x)
+        a = codec.encode_ucompm(MEM4, memory_counts(MEM4), x)
+        b = codec.encode_ucompm(MEM4, memory_counts(MEM4), x)
         assert a.data == b.data and a.bit_length == b.bit_length
 
     def test_ideal_matches_sequential_product(self):
@@ -329,7 +329,7 @@ class TestUcomp:
         lens = np.empty(trials)
         for t in range(trials):
             x = sample_sequence(MEM2, [0.5, 0.5], n, seed=90_000 + t)
-            lens[t] = codec.encode_ucompm(MEM2, (), x).bit_length
+            lens[t] = codec.encode_ucompm(MEM2, memory_counts(MEM2), x).bit_length
         avg_red = lens.mean() - n
         assert 3.6 <= avg_red <= 7.6
         # converse: no code beats the entropy on average
@@ -340,9 +340,9 @@ class TestUcomp:
 class TestUcompm:
     def test_empty_memory_matches_ucomp(self):
         x = sample_sequence(MEM2, [0.3, 0.7], 500, seed=21)
-        a = codec.encode_ucompm(MEM2, (), x)
-        b = codec.encode_ucompm(MEM2, np.array([], dtype=np.int64), x)
-        assert a == b
+        a = codec.encode_ucompm(MEM2, np.zeros((1, 2), np.int64), x)
+        b = codec.encode_ucompm(MEM2, memory_counts(MEM2, np.array([], dtype=np.int64)), x)
+        assert a == b == ac_encode(KTCoderModel(MEM2), x)
 
     def test_priming_equivalence(self):
         # emitted length sits in (ideal primed KT codelength, ideal + 2]
@@ -353,10 +353,10 @@ class TestUcompm:
                 theta = np.tile(theta_flat, (fam.k, 1)) if fam.kind == "markov1" else theta_flat
                 y = sample_sequence(fam, theta, int(rng.integers(0, 2000)), seed=int(rng.integers(1 << 40)))
                 x = sample_sequence(fam, theta, int(rng.integers(1, 800)), seed=int(rng.integers(1 << 40)))
-                bits = codec.encode_ucompm(fam, y, x)
+                bits = codec.encode_ucompm(fam, memory_counts(fam, y), x)
                 ideal = ideal_kt_bits(fam, x, memory=y)
                 assert math.floor(ideal) <= bits.bit_length <= math.ceil(ideal) + 2
-                assert np.array_equal(codec.decode_ucompm(fam, y, bits, x.size), x)
+                assert np.array_equal(codec.decode_ucompm(fam, memory_counts(fam, y), bits, x.size), x)
 
     def test_memory_shortens_matched_sequences(self):
         theta = [0.85, 0.1, 0.05]
@@ -365,8 +365,8 @@ class TestUcompm:
         total_plain, total_primed = 0, 0
         for t in range(40):
             x = sample_sequence(fam, theta, 400, seed=600 + t)
-            total_plain += codec.encode_ucompm(fam, (), x).bit_length
-            total_primed += codec.encode_ucompm(fam, y, x).bit_length
+            total_plain += codec.encode_ucompm(fam, memory_counts(fam), x).bit_length
+            total_primed += codec.encode_ucompm(fam, memory_counts(fam, y), x).bit_length
         assert total_primed < total_plain
 
 

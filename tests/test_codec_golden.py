@@ -21,7 +21,7 @@ from ucdis import codec
 from ucdis.rng import split_seed
 from ucdis.sources import SourceFamily, sample_jeffreys, sample_sequence
 
-from reference import FixedModel
+from reference import FixedModel, memory_counts
 
 FIXTURE = Path(__file__).parent / "data" / "codec_golden.json"
 
@@ -72,16 +72,16 @@ def encode(strategy, fam, y, x) -> codec.BitStream:
     if strategy == "fixed":
         return codec.ac_encode(FixedModel([1, 2, 1]), x.tolist())
     if strategy == "ucomp":
-        return codec.encode_ucompm(fam, (), x)
-    return codec.encode_ucompm(fam, y, x)
+        return codec.encode_ucompm(fam, memory_counts(fam), x)
+    return codec.encode_ucompm(fam, memory_counts(fam, y), x)
 
 
 def decode(strategy, fam, y, bits, n):
     if strategy == "fixed":
         return np.array(codec.ac_decode(FixedModel([1, 2, 1]), bits, n))
     if strategy == "ucomp":
-        return codec.decode_ucompm(fam, (), bits, n)
-    return codec.decode_ucompm(fam, y, bits, n)
+        return codec.decode_ucompm(fam, memory_counts(fam), bits, n)
+    return codec.decode_ucompm(fam, memory_counts(fam, y), bits, n)
 
 
 def record(*case):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ucdis import codec
 from ucdis.codec import BitStream, BitReader, BitWriter, KTCoderModel
-from ucdis.sources import SourceFamily
+from ucdis.sources import SourceFamily, context_counts
 
 from reference import FixedModel
 
@@ -125,7 +125,8 @@ def coded_inputs(draw):
     if kind != "kt-primed":
         return (lambda: KTCoderModel(fam)), x
     y = np.array(draw(st.lists(sym, max_size=2000)), dtype=np.int64)
-    return (lambda: codec._primed_state(fam, y)), x
+    counts = context_counts(fam, y, initial_context=0)
+    return (lambda: codec._primed_state(fam, counts)), x
 
 
 class TestCoderAgainstReference:

@@ -48,6 +48,11 @@ MEM3 = memoryless(3)
 MEM4 = memoryless(4)
 
 
+def mem_counts(y, k):
+    """What the ducompm decoder takes of a memory y: its counts."""
+    return reference.memory_counts(memoryless(k), y)
+
+
 def all_types(n, k):
     """Stars-and-bars enumeration, ascending lexicographic."""
     if k == 1:
@@ -128,8 +133,7 @@ class TestEllipsoid:
         # independent arithmetic: center is exactly (1/2, 1/2) for 500/500
         # counts, Fisher info is 4, r = 500, threshold is the chi-square(1)
         # quantile at 0.99
-        y = np.array([0] * 500 + [1] * 500)
-        e = build_ellipsoid(y, 1000, 0.01, 2)
+        e = build_ellipsoid([[500, 500]], 1000, 0.01, 2)
         assert e.center == pytest.approx([0.5, 0.5], abs=1e-12)
         assert e.r == pytest.approx(500.0)
         assert e.fisher[0, 0] == pytest.approx(4.0, abs=1e-12)
@@ -143,16 +147,16 @@ class TestEllipsoid:
     def test_radius_bits_and_threshold_consistent(self):
         # the threshold in bits is the bounds engine's radius delta_d
         y = sample_sequence(MEM3, [0.3, 0.4, 0.3], 600, seed=9)
-        e = build_ellipsoid(y, 400, 0.05, 3)
+        e = build_ellipsoid(mem_counts(y, 3), 400, 0.05, 3)
         assert 2.0 * delta_d(2, 0.05) / math.log2(math.e) == pytest.approx(e.chi2_threshold, rel=1e-12)
 
     def test_center_interior_for_constant_memory(self):
-        e = build_ellipsoid(np.zeros(200, dtype=int), 100, 0.1, 2)
+        e = build_ellipsoid([[200, 0]], 100, 0.1, 2)
         assert 0.0 < e.center[1] < e.center[0] < 1.0
 
     def test_r_saturates_at_n(self):
         n = 250
-        rs = [build_ellipsoid(np.zeros(m, dtype=int), n, 0.1, 2).r for m in (250, 2500, 250_000)]
+        rs = [build_ellipsoid([[m, 0]], n, 0.1, 2).r for m in (250, 2500, 250_000)]
         assert rs[0] < rs[1] < rs[2] < n
         assert rs[2] == pytest.approx(n, rel=1e-2)
 
@@ -168,18 +172,17 @@ class TestEllipsoid:
         assert types == all_types(20, 3)
 
     def test_sum_mismatch_rejected(self):
-        y = np.array([0, 1] * 50)
-        e = build_ellipsoid(y, 100, 0.1, 2)
+        e = build_ellipsoid([[50, 50]], 100, 0.1, 2)
         with pytest.raises(ValueError):
             ellipsoid_contains(e, [50, 51], 100)
 
     def test_wrong_length_rejected(self):
-        e = build_ellipsoid(np.array([0, 1] * 50), 100, 0.1, 2)
+        e = build_ellipsoid([[50, 50]], 100, 0.1, 2)
         with pytest.raises(ValueError, match="shape"):
             ellipsoid_contains(e, [50, 50, 0], 100)
 
     def test_negative_count_rejected(self):
-        e = build_ellipsoid(np.array([0, 1] * 50), 100, 0.1, 2)
+        e = build_ellipsoid([[50, 50]], 100, 0.1, 2)
         with pytest.raises(ValueError, match="nonnegative"):
             ellipsoid_contains(e, [150, -50], 100)
 
@@ -191,9 +194,9 @@ class TestEllipsoid:
 
     def test_pe_domain(self):
         with pytest.raises(ValueError):
-            build_ellipsoid(np.array([0, 1]), 10, 0.0, 2)
+            build_ellipsoid([[1, 1]], 10, 0.0, 2)
         with pytest.raises(ValueError):
-            build_ellipsoid(np.array([0, 1]), 10, 1.0, 2)
+            build_ellipsoid([[1, 1]], 10, 1.0, 2)
 
 
 class TestEnumeration:
@@ -217,14 +220,14 @@ class TestEnumeration:
 
     def test_lexicographic_order(self):
         y = sample_sequence(MEM3, [0.4, 0.3, 0.3], 900, seed=2)
-        e = build_ellipsoid(y, 300, 0.2, 3)
+        e = build_ellipsoid(mem_counts(y, 3), 300, 0.2, 3)
         out = enumerate_types_in_ellipsoid(e, 300, 3)
         assert out == sorted(out)
         assert len(out) > 3
 
     def test_candidate_cap(self):
         y = sample_sequence(MEM3, [1 / 3] * 3, 3000, seed=3)
-        e = build_ellipsoid(y, 300, 0.05, 3)
+        e = build_ellipsoid(mem_counts(y, 3), 300, 0.05, 3)
         with pytest.raises(ResourceLimitError):
             enumerate_types_in_ellipsoid(e, 300, 3, cap=10)
 
@@ -232,7 +235,7 @@ class TestEnumeration:
         # 24,676 candidates; the walk visits about 26k lattice points, the
         # bounding box holds 87,906
         y = sample_sequence(MEM4, [0.4, 0.3, 0.2, 0.1], 2000, seed=1)
-        e = build_ellipsoid(y, 200, 0.01, 4)
+        e = build_ellipsoid(mem_counts(y, 4), 200, 0.01, 4)
         lo, hi = bounding_box(e, 200, 4)
         assert math.prod(h - l + 1 for l, h in zip(lo, hi)) > 50_000
         assert enumerate_types_in_ellipsoid(e, 200, 4, cap=50_000) == box_scan_types(e, 200, 4)
@@ -448,7 +451,7 @@ class TestDecodeAgainstListing:
                 mock.patch.object(ducompm, "_CHUNK", chunk):
             hits = ducompm._hash_hits(e, n, k, cfg.candidate_cap, mult, b, h)
             with mock.patch.object(ducompm, "build_ellipsoid", lambda *args: e):
-                got = decode_ducompm(payload, [0], n, cfg)
+                got = decode_ducompm(payload, mem_counts([0], k), n, cfg)
         assert hits == [t for t in types if universal_hash(t, seed, b) == h]
         want = listing_decode(payload, types, cfg)
         assert got.failure_reason == want.failure_reason
@@ -466,7 +469,7 @@ class TestDecodeAgainstListing:
 
     def test_memory_does_not_grow_with_the_line(self):
         # k=2: one line of about 620k points, none passing a 64-bit hash
-        n, y = 10**6, [0, 1] * 5
+        n, y = 10**6, [[5, 5]]
         cfg = DucompmConfig(k=2, m=10, p_e=0.05)
         assert count_types_in_ellipsoid(build_ellipsoid(y, n, cfg.p_e, 2), n, 2) > 600_000
         payload = DCodeword(b=64, hash_value=0x0123456789ABCDEF, rank=0,
@@ -484,7 +487,7 @@ class TestDecodeAgainstListing:
     def test_memory_does_not_grow_with_k(self):
         # a forged header's k=131 over a k=3 memory: the 130-level walk runs
         # into the cap, holding one chunk of prefixes per level on the way
-        y = sample_sequence(MEM3, [1 / 3] * 3, 3000, seed=5)
+        y = mem_counts(sample_sequence(MEM3, [1 / 3] * 3, 3000, seed=5), 131)
         cfg = DucompmConfig(k=131, m=3000, p_e=0.05, candidate_cap=200_000)
         payload = DCodeword(b=20, hash_value=1, rank=0, rank_bit_length=10).payload()
         tracemalloc.start()
@@ -503,7 +506,7 @@ class TestDecodeAgainstListing:
         # arrays and numpy's broadcast buffers (at most 2 x 64 KB).
         n, cfg = 200, DucompmConfig(k=4, m=2000, p_e=0.01)
         y = sample_sequence(MEM4, [0.4, 0.3, 0.2, 0.1], cfg.m, seed=41)
-        e = build_ellipsoid(y, n, cfg.p_e, 4)
+        e = build_ellipsoid(mem_counts(y, 4), n, cfg.p_e, 4)
         args = (e, n, 4, cfg.candidate_cap, ducompm._hash_multipliers(cfg.hash_seed, 4), 16, 5)
         walk = traced_peak(count_types_in_ellipsoid, e, n, 4)
         first = traced_peak(in_fresh_thread, ducompm._hash_hits, *args)
@@ -524,7 +527,7 @@ class TestDecodeAgainstListing:
         payloads = [encode_ducompm(x, c).payload() for x, c in zip(xs, cfgs)]
 
         def decoded(payload, cfg):
-            return decode_ducompm(payload, y, n, cfg).sequence.tolist()
+            return decode_ducompm(payload, mem_counts(y, cfg.k), n, cfg).sequence.tolist()
 
         assert [decoded(p, c) for p, c in zip(payloads, cfgs)] == [x.tolist() for x in xs]
         meet, mix = threading.Barrier(2, timeout=30), ducompm.mix64_array
@@ -563,7 +566,7 @@ class TestHashLength:
         # b = ceil(log2(N / beta)), N the count in the encoder's surrogate
         # ellipsoid (centered at its own sequence) and beta defaulting to p_e
         x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
-        n_hat = count_types_in_ellipsoid(ducompm._ellipsoid(x, 300, 3000, 0.05, 3), 300, 3)
+        n_hat = count_types_in_ellipsoid(ducompm._ellipsoid([type_of(x, 3)], 300, 3000, 0.05, 3), 300, 3)
         beta = 0.05 if budget is None else budget
         b = hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
         assert b == max(1, math.ceil(math.log2(max(1, n_hat) / beta)))
@@ -891,7 +894,7 @@ class TestDecode:
         y = sample_sequence(fam, theta, cfg.m, seed=seed)
         x = sample_sequence(fam, theta, n, seed=seed + 1)
         w = encode_ducompm(x, cfg)
-        return x, decode_ducompm(w.payload(), y, n, cfg)
+        return x, decode_ducompm(w.payload(), mem_counts(y, cfg.k), n, cfg)
 
     def test_matched_source_roundtrips(self):
         cfg = DucompmConfig(k=2, m=4000, p_e=0.1)
@@ -920,7 +923,7 @@ class TestDecode:
             y = sample_sequence(fam, [0.05, 0.95], cfg.m, seed=500 + t)
             x = sample_sequence(fam, [0.9, 0.1], 400, seed=900 + t)
             w = encode_ducompm(x, cfg)
-            outcome = decode_ducompm(w.payload(), y, 400, cfg)
+            outcome = decode_ducompm(w.payload(), mem_counts(y, cfg.k), 400, cfg)
             if not (outcome.ok and np.array_equal(outcome.sequence, x)):
                 errors += 1
         assert errors >= 36  # distant parameters decode wrong almost surely
@@ -934,6 +937,7 @@ class TestDecode:
         w = encode_ducompm(x, cfg)
         p = w.payload()
         truncated = BitStream(p.data, p.bit_length - 1)
+        y = mem_counts(y, cfg.k)
         outcome = decode_ducompm(truncated, y, 90, cfg)
         assert not outcome.ok
         with pytest.raises(FramingError):
@@ -942,13 +946,13 @@ class TestDecode:
     def test_wrong_memory_length_rejected(self):
         cfg = DucompmConfig(k=2, m=100, p_e=0.1)
         with pytest.raises(ValueError):
-            decode_ducompm(BitStream(b"\x00\x10\x00", 20), np.zeros(99, dtype=int), 10, cfg)
+            decode_ducompm(BitStream(b"\x00\x10\x00", 20), [[99, 0]], 10, cfg)
 
     def test_length_beyond_32_bits_rejected(self):
         # the hash filter's arithmetic takes counts below 2^32, the container's n width
         cfg = DucompmConfig(k=2, m=4, p_e=0.1)
         with pytest.raises(ValueError, match="32-bit"):
-            decode_ducompm(DCodeword(1, 0, 0, 0).payload(), [0, 1, 0, 1], 2**32, cfg)
+            decode_ducompm(DCodeword(1, 0, 0, 0).payload(), [[2, 2]], 2**32, cfg)
 
     def test_forged_length_computes_no_class_size(self):
         """A header that claims n = 10^6 with an 8-bit rank field: the region
@@ -959,7 +963,7 @@ class TestDecode:
         y = sample_sequence(MEM2, [0.5, 0.5], cfg.m, seed=3)
         payload = DCodeword(b=1, hash_value=0, rank=0, rank_bit_length=8).payload()
         with mock.patch.object(ducompm, "_class_size", wraps=ducompm._class_size) as exact:
-            outcome = decode_ducompm(payload, y, 10**6, cfg)
+            outcome = decode_ducompm(payload, mem_counts(y, cfg.k), 10**6, cfg)
         assert outcome.failure_reason == "no-candidate"
         assert exact.call_count == 0
 

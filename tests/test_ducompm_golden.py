@@ -16,7 +16,7 @@ import numpy as np
 from ucdis import harness
 from ucdis.ducompm import DucompmConfig, decode_ducompm, encode_ducompm
 from ucdis.rng import split_seed
-from ucdis.sources import memoryless, sample_jeffreys, sample_sequence
+from ucdis.sources import context_counts, memoryless, sample_jeffreys, sample_sequence
 
 FIXTURE = Path(__file__).parent / "data" / "ducompm_golden.json"
 
@@ -55,7 +55,7 @@ def record(k, n, m, p_e, seed, memory_theta):
     y = sample_sequence(fam, y_theta, m, split_seed(seed, 2))
     cfg = DucompmConfig(k=k, m=m, p_e=p_e)
     payload = encode_ducompm(x, cfg).payload()
-    outcome = decode_ducompm(payload, y, n, cfg)
+    outcome = decode_ducompm(payload, context_counts(fam, y, initial_context=0), n, cfg)
     if outcome.ok:
         result = "exact" if np.array_equal(outcome.sequence, x) else "silent-mismatch"
     else:

@@ -5,10 +5,11 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from ucdis import bounds, harness
+from ucdis import bounds, codec, ducompm, harness, sources
 from ucdis.harness import (
     CoverageReport,
     ExperimentConfig,
@@ -120,6 +121,21 @@ class TestDeterminism:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         run_coverage(small_cfg(strategies=("ducompm",), trials=3), workers=10**6)
         assert sizes == [3, 2]
+
+    def test_memory_checked_and_counted_once_per_trial(self, monkeypatch):
+        # every strategy takes the trial's memory counts: of the checks and
+        # counts over a sequence, one per trial is over the memory (m = 400)
+        cfg = small_cfg(trials=3)
+        checked = []
+        for module in (sources, codec, ducompm):
+            real = module._validate_sequence
+            monkeypatch.setattr(module, "_validate_sequence",
+                                lambda x, k, real=real: checked.append(len(x)) or real(x, k))
+        counted = mock.Mock(wraps=sources.context_counts)
+        monkeypatch.setattr(harness, "context_counts", counted)
+        run_trials(cfg)
+        assert checked.count(cfg.m) == cfg.trials
+        assert counted.call_count == cfg.trials
 
     def test_different_seed_changes_results(self):
         a = run_experiment(small_cfg(strategies=("ucomp",)))

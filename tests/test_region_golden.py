@@ -21,7 +21,7 @@ import numpy as np
 from ucdis import harness
 from ucdis.ducompm import _ellipsoid, count_types_in_ellipsoid, enumerate_types_in_ellipsoid
 from ucdis.rng import split_seed
-from ucdis.sources import memoryless, sample_sequence
+from ucdis.sources import context_counts, memoryless, sample_sequence
 
 FIXTURE = Path(__file__).parent / "data" / "region_golden.json"
 
@@ -44,14 +44,15 @@ def regions():
     surrogate of each draw in turn."""
     c = REFERENCE
     for t in range(c.trials):
-        _, _, y, x = harness._draw(c, t)
-        yield f"reference/{t}/decoder", _ellipsoid(y, c.n, c.m, c.p_e, c.k), c.n, c.k
-        yield f"reference/{t}/surrogate", _ellipsoid(x, c.n, c.m, c.p_e, c.k), c.n, c.k
+        fam, _, y_counts, x = harness._draw(c, t)
+        yield f"reference/{t}/decoder", _ellipsoid(y_counts, c.n, c.m, c.p_e, c.k), c.n, c.k
+        x_counts = context_counts(fam, x)
+        yield f"reference/{t}/surrogate", _ellipsoid(x_counts, c.n, c.m, c.p_e, c.k), c.n, c.k
     for name, k, n, m, p_e, theta in SHAPES:
         fam = memoryless(k)
         for s in range(SHAPE_DRAWS):
-            y = sample_sequence(fam, theta, m, split_seed(s, 1))
-            x = sample_sequence(fam, theta, n, split_seed(s, 2))
+            y = context_counts(fam, sample_sequence(fam, theta, m, split_seed(s, 1)))
+            x = context_counts(fam, sample_sequence(fam, theta, n, split_seed(s, 2)))
             yield f"{name}/{s}/decoder", _ellipsoid(y, n, m, p_e, k), n, k
             yield f"{name}/{s}/surrogate", _ellipsoid(x, n, m, p_e, k), n, k
 

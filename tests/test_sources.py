@@ -11,6 +11,7 @@ from ucdis import codec, ducompm
 from ucdis.sources import (
     BoundaryThetaError,
     SourceFamily,
+    _validate_counts,
     _validate_sequence,
     context_counts,
     entropy_rate,
@@ -102,9 +103,12 @@ class TestEntropy:
 
 class TestEstimation:
     def test_smoothed_examples(self):
-        assert smoothed_estimate(MEM2, []).tolist() == [0.5, 0.5]
-        assert smoothed_estimate(MEM2, [1, 1, 1]) == pytest.approx([0.125, 0.875])
-        assert smoothed_estimate(memoryless(4), []).tolist() == [0.25] * 4
+        assert smoothed_estimate(MEM2, [[0, 0]]).tolist() == [0.5, 0.5]
+        assert smoothed_estimate(MEM2, [[0, 3]]) == pytest.approx([0.125, 0.875])
+        assert smoothed_estimate(memoryless(4), np.zeros((1, 4), np.int64)).tolist() == [0.25] * 4
+        # markov1: one estimate per context row
+        assert smoothed_estimate(markov1(2), [[0, 0], [1, 3]]) == pytest.approx(
+            np.array([[0.5, 0.5], [0.3, 0.7]]))
 
     def test_ml_consistency(self):
         # n = 10^4 puts 0.02 at ~4 sigma, so nearly every trial is inside
@@ -210,14 +214,15 @@ class TestJeffreys:
 
 
 @pytest.mark.parametrize("x", [[0.5, 1.7, 2.2], [-0.5, 1], [0, 1.5], [math.inf], [-math.inf],
-                               [math.nan], [1e300], [2**70], ["a"], [1 + 1j], [None]])
+                               [math.nan], [1e300], [2**70], ["a"], [1 + 1j], [None],
+                               [10**400]])
 def test_non_integer_symbols_rejected(x):
     """A cast would truncate 0.5 to 0 and overflow on inf; the check, and the
     encoder and rank that call it, raise ValueError instead."""
     with pytest.raises(ValueError):
         _validate_sequence(x, 3)
     with pytest.raises(ValueError):
-        codec.encode_ucompm(MEM3, (), x)
+        codec.encode_ucompm(MEM3, np.zeros((1, 3), np.int64), x)
     with pytest.raises(ValueError):
         ducompm.type_rank(x, 3)
 
@@ -229,3 +234,88 @@ def test_integer_symbols_accepted():
         assert _validate_sequence(seq, 3).tolist() == [0, 2, 1]
     empty = _validate_sequence((), 3)
     assert empty.dtype == np.int64 and empty.size == 0
+
+
+def _counts_entry_points():
+    """The four entry points that take a memory's counts, each as a function
+    of (family, counts); the ducompm ones are configured for m = 4."""
+    cfg = ducompm.DucompmConfig(k=3, m=4, p_e=0.1)
+    x = np.array([0, 1, 2, 1])
+    payload = ducompm.encode_ducompm(x, cfg).payload()
+
+    def decode_ucompm(fam, counts):
+        # coded with the memory [0, 0, 1, 2], whose memoryless counts are [[2, 1, 1]]
+        bits = codec.encode_ucompm(fam, context_counts(fam, [0, 0, 1, 2], initial_context=0), x)
+        return codec.decode_ucompm(fam, counts, bits, x.size)
+
+    return {
+        "encode_ucompm": lambda fam, counts: codec.encode_ucompm(fam, counts, x),
+        "decode_ucompm": decode_ucompm,
+        "build_ellipsoid": lambda fam, counts: ducompm.build_ellipsoid(counts, 4, cfg.p_e, 3),
+        "decode_ducompm": lambda fam, counts: ducompm.decode_ducompm(payload, counts, 4, cfg),
+    }
+
+
+BAD_COUNTS = {
+    "negative": [[3, -1, 2]],
+    "fraction": [[1.5, 2.5, 0]],
+    "nan": [[math.nan, 2, 2]],
+    "inf": [[math.inf, 2, 2]],
+    "k+1 columns": [[1, 1, 1, 1]],
+    "vector": [2, 1, 1],
+    "string": [["2", 1, 1]],
+    "beyond int64": [[2**63 - 1, 2**63 - 1, 6]],
+}
+
+
+class TestMemoryCounts:
+    """Every entry point that takes a memory's counts checks them through
+    ``_validate_counts``: each bad value sums to the configured m = 4 (or
+    wraps to it in int64), so only the check itself can reject it."""
+
+    @pytest.mark.parametrize("entry", list(_counts_entry_points()))
+    @pytest.mark.parametrize("bad", list(BAD_COUNTS))
+    def test_bad_counts_rejected(self, entry, bad):
+        with pytest.raises(ValueError, match="counts"):
+            _counts_entry_points()[entry](MEM3, BAD_COUNTS[bad])
+
+    @pytest.mark.parametrize("entry", ["encode_ucompm", "decode_ucompm"])
+    def test_markov1_needs_a_row_per_context(self, entry):
+        with pytest.raises(ValueError, match=r"counts shape \(1, 3\)"):
+            _counts_entry_points()[entry](markov1(3), [[2, 1, 1]])
+
+    @pytest.mark.parametrize("entry", ["build_ellipsoid", "decode_ducompm"])
+    def test_ducompm_takes_memoryless_counts_only(self, entry):
+        with pytest.raises(ValueError, match=r"counts shape \(3, 3\)"):
+            _counts_entry_points()[entry](MEM3, [[2, 1, 1], [0, 0, 0], [0, 0, 0]])
+
+    def test_ducompm_sum_must_be_m(self):
+        decode = _counts_entry_points()["decode_ducompm"]
+        for counts in ([[2, 1, 0]], [[2, 1, 2]]):
+            with pytest.raises(ValueError, match=f"memory length {sum(counts[0])} != configured m=4"):
+                decode(MEM3, counts)
+        with pytest.raises(ValueError, match="nonempty"):
+            _counts_entry_points()["build_ellipsoid"](MEM3, [[0, 0, 0]])
+
+    @pytest.mark.parametrize("entry", list(_counts_entry_points()))
+    def test_integer_valued_counts_accepted(self, entry):
+        # floats, unsigned and Python ints that are integers give one result
+        run = _counts_entry_points()[entry]
+        want = run(MEM3, np.array([[2, 1, 1]], np.int64))
+        for counts in ([[2.0, 1.0, 1.0]], np.array([[2, 1, 1]], np.uint8), ((2, 1, 1),)):
+            got = run(MEM3, counts)
+            if entry == "build_ellipsoid":
+                assert (got.center.tolist(), got.r) == (want.center.tolist(), want.r)
+            elif entry == "decode_ducompm":
+                assert got.failure_reason == want.failure_reason
+                assert np.array_equal(got.sequence, want.sequence)
+            else:
+                assert np.array_equal(got.data if entry == "encode_ucompm" else got,
+                                      want.data if entry == "encode_ucompm" else want)
+
+    def test_validate_counts_returns_int64(self):
+        c = np.array([[0, 3]], np.int64)
+        assert _validate_counts(MEM2, c) is c
+        assert _validate_counts(markov1(2), [[1.0, 0.0], [2.0, 5.0]]).dtype == np.int64
+        with pytest.raises(ValueError, match="finite integers"):
+            _validate_counts(MEM2, [[10**400, 0]])

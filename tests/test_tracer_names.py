@@ -49,7 +49,7 @@ def test_hook_names_exist():
     # are read only after an enumerate_types_in_ellipsoid call, which no
     # workload makes, so the smoke runs below would not notice them gone
     assert ucdis.codec.BitStream(b"\x80", 1).bit(0) == 1
-    e = ucdis.ducompm.build_ellipsoid([0, 1, 1], 10, 0.1, 2)
+    e = ucdis.ducompm.build_ellipsoid([[1, 2]], 10, 0.1, 2)
     for name in ("r", "fisher", "center", "chi2_threshold"):
         assert getattr(e, name) is not None, name
     model = ucdis.codec.KTCoderModel(ucdis.sources.markov1(2))
