@@ -138,7 +138,7 @@ def cmd_encode(args) -> int:
             if args.memory is None:
                 raise ValueError("--memory is required for strategy ucompm")
             y = _symbols_from_file(args.memory, args.k)
-        payload = codec.encode_ucompm(family, context_counts(family, y, initial_context=0), x)
+        payload = codec.encode_ucompm(family, context_counts(family, y), x)
         m, p_e = len(y), 0.0
     else:
         if args.memory is not None:
@@ -176,7 +176,7 @@ def cmd_decode(args) -> int:
         y = _symbols_from_file(args.memory, container.k)
         if y.size != container.m:
             raise ValueError(f"memory length {y.size} does not match container m={container.m}")
-    counts = context_counts(family, y, initial_context=0)
+    counts = context_counts(family, y)
     if container.strategy != "ducompm":
         x = codec.decode_ucompm(family, counts, container.payload, container.n)
     else:
@@ -207,9 +207,10 @@ def _load_config(path: str, trials_override) -> harness.ExperimentConfig:
 
 def _emit_results(result, out_path: str, cfg: harness.ExperimentConfig):
     if out_path.endswith(".json"):
-        harness.emit_json(result, out_path, config=cfg)
+        text = harness.render_json(result, config=cfg)
     else:
-        harness.emit_csv(result, out_path)
+        text = harness.render_csv(result)
+    _write_bytes(out_path, text.encode())
 
 
 def cmd_experiment(args) -> int:

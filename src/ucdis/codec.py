@@ -27,9 +27,8 @@ its loop makes no model call either: it reads and updates the model's tables,
 a Fenwick tree over the interval weights per context, in place.
 
 Coding with a shared memory (ucompm) starts that model from the memory's
-counts on both sides, the memory y entering only as
-``context_counts(family, y, initial_context=0)``; zero counts give universal
-coding without memory (ucomp).
+counts on both sides, the memory y entering only as ``context_counts(family,
+y)``; zero counts give universal coding without memory (ucomp).
 """
 
 from __future__ import annotations
@@ -363,6 +362,9 @@ def ac_decode(model, bits: BitStream, n: int):
     adds ``inc`` to its weight and to the tree nodes above it, and for
     markov1 switches to the decoded symbol's context.  The descent steps and
     the nodes above each symbol follow from the tree size, once per call.
+    A symbol whose context total exceeds ``_MAX_TOTAL`` raises the encoder's
+    ``ValueError``, by the encoder's rule: only the totals the stream's
+    symbols are coded against are checked.
 
     The code register is kept as its offset ``v = code - low`` in the
     interval, so the target is ((v + 1) * total - 1) // span.  A settle shift
@@ -393,7 +395,7 @@ def ac_decode(model, bits: BitStream, n: int):
     out = []
     append = out.append
     trees, weight_rows, markov = model.trees, model.weights, model.markov
-    inc = model.inc
+    inc, max_total = model.inc, _MAX_TOTAL
     tree = trees[model.ctx]
     weights = weight_rows[model.ctx]
     top = len(tree) - 1
@@ -404,6 +406,8 @@ def ac_decode(model, bits: BitStream, n: int):
         up[i] = (i,) + up[i + (i & -i)]
     for _ in range(n):
         t = tree[top]
+        if t > max_total:
+            raise ValueError("model total exceeds coder capacity")
         span = high - low + 1
         target = ((v + 1) * t - 1) // span
         # s ends as the last symbol whose interval starts at or below target.
@@ -466,8 +470,8 @@ def _primed_state(family: SourceFamily, counts) -> KTCoderModel:
 
 def encode_ucompm(family: SourceFamily, counts, x) -> BitStream:
     """Universal coding of x with the KT model primed by the shared memory's
-    ``counts``, ``context_counts(family, y, initial_context=0)`` of the memory
-    y; all-zero counts (an empty memory) are ucomp."""
+    ``counts``, ``context_counts(family, y)`` of the memory y; all-zero
+    counts (an empty memory) are ucomp."""
     return ac_encode(_primed_state(family, counts), x)
 
 

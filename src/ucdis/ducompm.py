@@ -463,8 +463,9 @@ def universal_hash(t, seed: int, b: int) -> int:
     return mix64(acc) & ((1 << b) - 1)
 
 
-def hash_length(x, config: DucompmConfig) -> int:
-    """Hash width chosen by the encoder without seeing the memory sequence.
+def hash_length(t, config: DucompmConfig) -> int:
+    """Hash width chosen by the encoder without seeing the memory sequence,
+    from the type t of its length-n sequence (k counts summing to n).
 
     The encoder builds a surrogate ellipsoid centered at its own smoothed
     estimate with the decoder's (r, threshold) recipe, counts the candidate
@@ -474,10 +475,10 @@ def hash_length(x, config: DucompmConfig) -> int:
     N / beta above 2^64 (inf when a tiny beta overflows it) raises
     ``ValueError``.
     """
-    x = _validate_sequence(x, config.k)
-    n = x.size
+    counts = _validate_counts(SourceFamily("memoryless", config.k), [t])
+    n = int(counts.sum())
     budget = config.p_e if config.collision_budget is None else config.collision_budget
-    surrogate = _ellipsoid([np.bincount(x, minlength=config.k)], n, config.m, config.p_e, config.k)
+    surrogate = _ellipsoid(counts, n, config.m, config.p_e, config.k)
     n_hat = max(1, count_types_in_ellipsoid(surrogate, n, config.k, cap=config.candidate_cap))
     ratio = n_hat / budget
     if ratio > 2.0**64:  # also catches inf, whose log2 has no integer ceiling
@@ -927,15 +928,14 @@ class DecodeOutcome:
 
 def encode_ducompm(x, config: DucompmConfig) -> DCodeword:
     """Encode x using only its own statistics and the known memory length."""
-    x = _validate_sequence(x, config.k)
-    if x.size < 1:
+    t = type_of(x, config.k)
+    if not t.any():
         raise ValueError("cannot encode an empty sequence")
-    counts = np.bincount(x, minlength=config.k)
-    b = hash_length(x, config)
+    b = hash_length(t, config)
     rank, size = type_rank(x, config.k)
     return DCodeword(
         b=b,
-        hash_value=universal_hash(counts, config.hash_seed, b),
+        hash_value=universal_hash(t, config.hash_seed, b),
         rank=rank,
         rank_bit_length=(size - 1).bit_length(),
     )

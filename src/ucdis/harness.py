@@ -11,6 +11,7 @@ a codec bug and aborts the run.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -210,7 +211,7 @@ class TrialData:
 def _draw(cfg: ExperimentConfig, t: int, need_memory: bool = True):
     """Trial t's (family, theta, counts, x): split seeds 0, 1 and 2 of the
     trial seed draw theta, the memory y (empty unless ``need_memory``) and x;
-    counts are ``context_counts(family, y, initial_context=0)``."""
+    counts are ``context_counts(family, y)``."""
     family = SourceFamily(cfg.family_kind, cfg.k)
     trial_seed = split_seed(cfg.master_seed, t)
     if cfg.theta is not None:
@@ -219,7 +220,7 @@ def _draw(cfg: ExperimentConfig, t: int, need_memory: bool = True):
         theta = sample_jeffreys(family, split_seed(trial_seed, 0))
     y = sample_sequence(family, theta, cfg.m, split_seed(trial_seed, 1)) if need_memory else ()
     x = sample_sequence(family, theta, cfg.n, split_seed(trial_seed, 2))
-    return family, theta, context_counts(family, y, initial_context=0), x
+    return family, theta, context_counts(family, y), x
 
 
 def _map_trials(fn, cfg: ExperimentConfig, workers: int) -> list:
@@ -326,8 +327,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit_csv(result, path):
-    """Write SummaryRows or a CoverageReport as CSV (6 significant digits).
+def render_csv(result) -> str:
+    """SummaryRows or a CoverageReport as CSV text: 6 significant digits,
+    rows ended by CRLF as ``csv.writer`` ends them.
 
     The columns are the dataclass's fields, in declaration order.
     """
@@ -336,18 +338,15 @@ def emit_csv(result, path):
     else:
         schema, rows = SummaryRow, list(result)
     names = [f.name for f in fields(schema)]
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in rows:
-                writer.writerow([_fmt(getattr(row, f)) for f in names])
-    except OSError as e:
-        raise OSError(f"cannot write CSV to {path}: {e}") from e
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(names)
+    writer.writerows([_fmt(getattr(row, f)) for f in names] for row in rows)
+    return out.getvalue()
 
 
-def emit_json(result, path, config: ExperimentConfig | None = None):
-    """Write results as JSON, echoing the config and the RNG identifier."""
+def render_json(result, config: ExperimentConfig | None = None) -> str:
+    """Results as JSON text, echoing the config and the RNG identifier."""
     if isinstance(result, CoverageReport):
         doc = {"coverage": asdict(result)}
     else:
@@ -355,9 +354,4 @@ def emit_json(result, path, config: ExperimentConfig | None = None):
     doc["rng_algorithm"] = RNG_ALGORITHM
     if config is not None:
         doc["config"] = config.to_json()
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except OSError as e:
-        raise OSError(f"cannot write JSON to {path}: {e}") from e
+    return json.dumps(doc, indent=2) + "\n"

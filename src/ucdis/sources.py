@@ -179,23 +179,19 @@ def entropy_rate(family: SourceFamily, theta) -> float:
     return float(sum(pi[s] * _entropy_bits(theta[s]) for s in range(family.k)))
 
 
-def context_counts(family: SourceFamily, seq, initial_context: int | None = None) -> np.ndarray:
+def context_counts(family: SourceFamily, seq) -> np.ndarray:
     """Symbol counts per context as a (contexts, k) int64 array.
 
-    Memoryless sequences give one row.  Markov chains count each transition
-    prev -> cur in row prev: over the in-sequence pairs by default, or with
-    ``initial_context`` as the context of the first symbol, so that every
-    symbol is counted once (the coder's convention, with context 0).
+    Memoryless sequences give one row.  Markov chains count each symbol in
+    the row of the symbol before it, the first symbol in row 0, so that every
+    symbol is counted once: the coder's convention.
     """
     k = family.k
     seq = _validate_sequence(seq, k)
     if family.kind == MEMORYLESS:
         return np.bincount(seq, minlength=k).reshape(1, k)
-    if initial_context is None:
-        prev, cur = seq[:-1], seq[1:]
-    else:
-        prev, cur = np.concatenate(([initial_context], seq))[:-1], seq
-    return np.bincount(prev * k + cur, minlength=k * k).reshape(k, k)
+    prev = np.concatenate(([0], seq))[:-1]
+    return np.bincount(prev * k + seq, minlength=k * k).reshape(k, k)
 
 
 def smoothed_estimate(family: SourceFamily, counts) -> np.ndarray:

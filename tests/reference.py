@@ -89,9 +89,9 @@ class FixedModel:
 
 
 def memory_counts(family: SourceFamily, memory=()) -> np.ndarray:
-    """What the codecs read of a memory sequence: its counts with initial
-    context 0, all zeros for the empty memory (ucomp)."""
-    return context_counts(family, memory, initial_context=0)
+    """What the codecs read of a memory sequence: ``context_counts(family,
+    memory)``, all zeros for the empty memory (ucomp)."""
+    return context_counts(family, memory)
 
 
 def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
@@ -101,8 +101,8 @@ def ideal_kt_bits(family: SourceFamily, x, memory=None) -> float:
     sequence, matching encode_ucompm's model.
     """
     k = family.k
-    cx = context_counts(family, x, initial_context=0)
-    base = np.zeros_like(cx) if memory is None else context_counts(family, memory, initial_context=0)
+    cx = context_counts(family, x)
+    base = np.zeros_like(cx) if memory is None else context_counts(family, memory)
     nats = 0.0
     for ctx in range(cx.shape[0]):
         n0 = int(base[ctx].sum())

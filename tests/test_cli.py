@@ -610,6 +610,29 @@ class TestExperimentCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "k,n,m,p_e,trials,empirical_coverage,target"
 
+    @pytest.mark.parametrize("command", ["experiment", "coverage"])
+    def test_io_error_has_path_context(self, capsys, tmp_path, command):
+        cfg = self._config(tmp_path, strategies=["ducompm"], trials=2)
+        out = tmp_path / "no" / "such" / "dir.csv"
+        for mode in ([], ["--json"]):
+            code, _, err = run_cli(capsys, *mode, command, "--config", str(cfg), "--out", str(out))
+            assert code == 2
+            assert "Traceback" not in err
+            message = json.loads(err)["error"]["message"] if mode else err
+            assert f"cannot write {out}: " in message
+
+    @pytest.mark.parametrize("command, name", [
+        ("experiment", "rows.csv"), ("experiment", "rows.json"), ("coverage", "cov.csv"),
+    ])
+    def test_out_over_a_longer_file(self, capsys, tmp_path, command, name):
+        cfg = self._config(tmp_path, strategies=["ducompm"], trials=2)
+        out, fresh = tmp_path / name, tmp_path / f"fresh-{name}"
+        out.write_bytes(b"\xff" * 100_000)
+        inode = out.stat().st_ino
+        assert run_cli(capsys, command, "--config", str(cfg), "--out", str(out))[0] == 0
+        assert run_cli(capsys, command, "--config", str(cfg), "--out", str(fresh))[0] == 0
+        assert out.read_bytes() == fresh.read_bytes() and out.stat().st_ino == inode
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         cfg = self._config(tmp_path, strategies=["ucomp"])
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

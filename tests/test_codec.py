@@ -358,6 +358,27 @@ class TestUcompm:
                 assert math.floor(ideal) <= bits.bit_length <= math.ceil(ideal) + 2
                 assert np.array_equal(codec.decode_ucompm(fam, memory_counts(fam, y), bits, x.size), x)
 
+    def test_decoder_total_over_capacity(self):
+        # the decoder raises the encoder's error at the first symbol coded
+        # against a context total above capacity, where it misread the
+        # stream before; the markov1 stream starts in context 0, as coded
+        big = 2**61
+        for fam, counts, x in ((MEM2, [[big, 0]], [0, 1, 0, 1]),
+                               (markov1(2), [[0, 0], [big, 0]], [1, 0, 1, 1])):
+            counts = np.array(counts)
+            with pytest.raises(ValueError, match="model total exceeds coder capacity"):
+                codec.encode_ucompm(fam, counts, x)
+            bits = codec.encode_ucompm(fam, np.zeros_like(counts), x)
+            with pytest.raises(ValueError, match="model total exceeds coder capacity"):
+                codec.decode_ucompm(fam, counts, bits, len(x))
+
+    def test_unvisited_context_over_capacity_is_not_checked(self):
+        # the encoder's rule is per symbol: a context no symbol is coded in
+        # may exceed capacity on both sides
+        fam, counts, x = markov1(2), np.array([[3, 1], [2**61, 0]]), [0, 0, 0]
+        bits = codec.encode_ucompm(fam, counts, x)
+        assert codec.decode_ucompm(fam, counts, bits, len(x)).tolist() == x
+
     def test_memory_shortens_matched_sequences(self):
         theta = [0.85, 0.1, 0.05]
         fam = memoryless(3)

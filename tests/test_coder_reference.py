@@ -125,7 +125,7 @@ def coded_inputs(draw):
     if kind != "kt-primed":
         return (lambda: KTCoderModel(fam)), x
     y = np.array(draw(st.lists(sym, max_size=2000)), dtype=np.int64)
-    counts = context_counts(fam, y, initial_context=0)
+    counts = context_counts(fam, y)
     return (lambda: codec._primed_state(fam, counts)), x
 
 

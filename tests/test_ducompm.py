@@ -545,49 +545,49 @@ class TestDecodeAgainstListing:
 class TestHashLength:
     def test_single_candidate_floor(self):
         # n=1 with a huge memory: the surrogate ellipsoid holds one type
-        b = hash_length(np.array([0]), DucompmConfig(k=2, m=10**6, p_e=0.5))
+        b = hash_length(type_of([0], 2), DucompmConfig(k=2, m=10**6, p_e=0.5))
         assert b == 1
 
     def test_monotone_in_memory_length(self):
-        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
+        t = type_of(sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77), 3)
         prev = 65
         for m in (300, 1000, 3000, 30_000, 300_000):
-            b = hash_length(x, DucompmConfig(k=3, m=m, p_e=0.05))
+            b = hash_length(t, DucompmConfig(k=3, m=m, p_e=0.05))
             assert b <= prev
             prev = b
 
     def test_width_grows_with_confidence(self):
-        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
-        assert (hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.001))
-                > hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.1)))
+        t = type_of(sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77), 3)
+        assert (hash_length(t, DucompmConfig(k=3, m=3000, p_e=0.001))
+                > hash_length(t, DucompmConfig(k=3, m=3000, p_e=0.1)))
 
     @pytest.mark.parametrize("budget", [None, 0.5, 1e-3])
     def test_width_from_collision_budget(self, budget):
         # b = ceil(log2(N / beta)), N the count in the encoder's surrogate
         # ellipsoid (centered at its own sequence) and beta defaulting to p_e
-        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
-        n_hat = count_types_in_ellipsoid(ducompm._ellipsoid([type_of(x, 3)], 300, 3000, 0.05, 3), 300, 3)
+        t = type_of(sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77), 3)
+        n_hat = count_types_in_ellipsoid(ducompm._ellipsoid([t], 300, 3000, 0.05, 3), 300, 3)
         beta = 0.05 if budget is None else budget
-        b = hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
+        b = hash_length(t, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
         assert b == max(1, math.ceil(math.log2(max(1, n_hat) / beta)))
 
     @pytest.mark.parametrize("budget", [1e-320, 1e-30])
     def test_width_beyond_64_bits_rejected(self, budget):
         # N / beta overflows to inf at 1e-320 and is finite but past 2^64 at 1e-30
-        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
+        t = type_of(sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77), 3)
         with pytest.raises(ValueError, match="exceeds 64 bits"):
-            hash_length(x, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
+            hash_length(t, DucompmConfig(k=3, m=3000, p_e=0.05, collision_budget=budget))
 
     def test_width_at_the_64_bit_edge(self, monkeypatch):
         # one candidate: N / beta = 2^64 takes 64 bits, and any larger ratio
         # is rejected, although its float log2 rounds down to 64.0
         monkeypatch.setattr(ducompm, "count_types_in_ellipsoid", lambda *a, **kw: 1)
-        x = np.array([0, 1])
-        assert hash_length(x, DucompmConfig(k=2, m=10, p_e=0.5, collision_budget=2.0**-64)) == 64
+        t = np.array([1, 1])
+        assert hash_length(t, DucompmConfig(k=2, m=10, p_e=0.5, collision_budget=2.0**-64)) == 64
         below = math.nextafter(2.0**-64, 0.0)
         assert math.ceil(math.log2(1 / below)) == 64
         with pytest.raises(ValueError, match="exceeds 64 bits"):
-            hash_length(x, DucompmConfig(k=2, m=10, p_e=0.5, collision_budget=below))
+            hash_length(t, DucompmConfig(k=2, m=10, p_e=0.5, collision_budget=below))
 
 
 @st.composite
@@ -886,6 +886,28 @@ class TestCodewords:
     def test_zero_pe_refused(self):
         with pytest.raises(ValueError, match="ucomp"):
             DucompmConfig(k=2, m=100, p_e=0.0)
+
+    def test_sequence_checked_twice_and_counted_once(self, monkeypatch):
+        # the encoder checks x in type_of and in type_rank (public, so it
+        # keeps its own check); the hash width and the hash read the type
+        cfg = DucompmConfig(k=3, m=3000, p_e=0.05)
+        x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
+        t = type_of(x, 3)
+        b = hash_length(t, cfg)
+        rank, size = type_rank(x, 3)
+        want = DCodeword(b=b, hash_value=universal_hash(t, cfg.hash_seed, b), rank=rank,
+                         rank_bit_length=(size - 1).bit_length())
+        checked = []
+        real = ducompm._validate_sequence
+        monkeypatch.setattr(ducompm, "_validate_sequence",
+                            lambda x, k: checked.append(len(x)) or real(x, k))
+        counted = mock.Mock(wraps=type_of)
+        monkeypatch.setattr(ducompm, "type_of", counted)
+        for _ in range(2):
+            checked.clear()
+            assert encode_ducompm(x, cfg) == want
+            assert checked == [300, 300]
+        assert counted.call_count == 2
 
 
 class TestDecode:

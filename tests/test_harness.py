@@ -1,6 +1,7 @@
 """Harness tests: determinism, validation, aggregation, emission formats."""
 
 import csv
+import io
 import json
 import math
 import re
@@ -15,8 +16,8 @@ from ucdis.harness import (
     ExperimentConfig,
     SummaryRow,
     ValidationError,
-    emit_csv,
-    emit_json,
+    render_csv,
+    render_json,
     run_coverage,
     run_experiment,
     run_trials,
@@ -202,12 +203,11 @@ class TestCoverage:
 
 
 class TestEmission:
-    def test_csv_schema(self, tmp_path):
+    def test_csv_schema(self):
         rows = run_experiment(small_cfg(trials=5))
-        path = tmp_path / "rows.csv"
-        emit_csv(rows, path)
-        with open(path, newline="") as fh:
-            parsed = list(csv.reader(fh))
+        text = render_csv(rows)
+        assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n")
+        parsed = list(csv.reader(io.StringIO(text, newline="")))
         assert parsed[0] == [
             "strategy", "k", "n", "m", "p_e", "trials",
             "avg_len_bits", "avg_redundancy_bits", "stderr_bits", "error_rate", "theory_bits",
@@ -217,42 +217,33 @@ class TestEmission:
             float(line[6])  # numeric, '.' separator
             assert "," not in line[6]
 
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_csv([], path)
-        assert open(path).read().strip() == (
+    def test_empty_rows_header_only(self):
+        assert render_csv([]) == (
             "strategy,k,n,m,p_e,trials,avg_len_bits,avg_redundancy_bits,"
-            "stderr_bits,error_rate,theory_bits"
+            "stderr_bits,error_rate,theory_bits\r\n"
         )
 
-    def test_coverage_csv(self, tmp_path):
+    def test_coverage_csv(self):
         cfg = small_cfg(strategies=("ducompm",), trials=20)
-        path = tmp_path / "cov.csv"
-        emit_csv(run_coverage(cfg), path)
-        lines = open(path).read().strip().split("\n")
+        lines = render_csv(run_coverage(cfg)).splitlines()
         assert lines[0] == "k,n,m,p_e,trials,empirical_coverage,target"
         assert len(lines) == 2
 
-    def test_json_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         cfg = small_cfg(trials=5)
         rows = run_experiment(cfg)
-        path = tmp_path / "rows.json"
-        emit_json(rows, path, config=cfg)
-        doc = json.load(open(path))
+        text = render_json(rows, config=cfg)
+        assert text.endswith("}\n")
+        doc = json.loads(text)
         assert doc["rng_algorithm"] == RNG_ALGORITHM
         assert doc["config"]["master_seed"] == 11
         rebuilt = [SummaryRow(**row) for row in doc["rows"]]
         assert rebuilt == rows
         assert ExperimentConfig.from_json(doc["config"]) == cfg
 
-    def test_coverage_json(self, tmp_path):
+    def test_coverage_json(self):
         cfg = small_cfg(strategies=("ducompm",), trials=20)
         report = run_coverage(cfg)
-        path = tmp_path / "cov.json"
-        emit_json(report, path)
-        doc = json.load(open(path))
+        doc = json.loads(render_json(report))
         assert CoverageReport(**doc["coverage"]) == report
-
-    def test_io_error_has_path_context(self, tmp_path):
-        with pytest.raises(OSError, match="no/such"):
-            emit_csv([], tmp_path / "no" / "such" / "dir.csv")
+        assert "config" not in doc

@@ -121,29 +121,23 @@ class TestEstimation:
         assert hits >= 990
 
 
-def context_counts_reference(family, seq, initial_context=None):
-    """Plain loop: each symbol counted in the row of the symbol before it
-    (Markov) or in the one row (memoryless); a Markov first symbol is counted
-    only under an initial context."""
+def context_counts_reference(family, seq):
+    """Plain loop: each symbol counted in the row of the symbol before it,
+    the first in row 0 (Markov), or in the one row (memoryless)."""
     counts = [[0] * family.k for _ in range(family.k if family.kind == "markov1" else 1)]
-    prev = initial_context
+    prev = 0
     for s in seq:
-        if family.kind == "memoryless":
-            counts[0][s] += 1
-        elif prev is not None:
-            counts[prev][s] += 1
+        counts[prev if family.kind == "markov1" else 0][s] += 1
         prev = s
     return counts
 
 
 class TestContextCounts:
-    def test_both_markov_conventions(self):
-        # [1, 1, 0]: pairs 1->1 and 1->0 in the sequence; initial context 0
-        # adds the pair 0->1 for the first symbol (the coder's convention)
-        fam = markov1(2)
-        assert context_counts(fam, [1, 1, 0]).tolist() == [[0, 0], [1, 1]]
-        assert context_counts(fam, [1, 1, 0], initial_context=0).tolist() == [[0, 1], [1, 1]]
-        assert context_counts(MEM2, [1, 1, 0], initial_context=0).tolist() == [[1, 2]]
+    def test_markov_first_symbol_in_context_0(self):
+        # [1, 1, 0]: the pairs 1->1 and 1->0, and the first symbol in
+        # context 0 (the coder's convention), so every symbol counts once
+        assert context_counts(markov1(2), [1, 1, 0]).tolist() == [[0, 1], [1, 1]]
+        assert context_counts(MEM2, [1, 1, 0]).tolist() == [[1, 2]]
 
     @settings(max_examples=300)
     @given(st.data(), st.sampled_from(["memoryless", "markov1"]), st.integers(2, 8),
@@ -151,10 +145,9 @@ class TestContextCounts:
     def test_matches_loop_reference(self, data, kind, k, n):
         fam = SourceFamily(kind, k)
         seq = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-        initial = data.draw(st.none() | st.integers(0, k - 1))
-        got = context_counts(fam, seq, initial_context=initial)
+        got = context_counts(fam, seq)
         assert got.dtype == np.int64
-        assert got.tolist() == context_counts_reference(fam, seq, initial)
+        assert got.tolist() == context_counts_reference(fam, seq)
 
 
 class TestFisher:
@@ -245,7 +238,7 @@ def _counts_entry_points():
 
     def decode_ucompm(fam, counts):
         # coded with the memory [0, 0, 1, 2], whose memoryless counts are [[2, 1, 1]]
-        bits = codec.encode_ucompm(fam, context_counts(fam, [0, 0, 1, 2], initial_context=0), x)
+        bits = codec.encode_ucompm(fam, context_counts(fam, [0, 0, 1, 2]), x)
         return codec.decode_ucompm(fam, counts, bits, x.size)
 
     return {
