@@ -650,10 +650,11 @@ class TestExperimentCli:
         assert not (tmp_path / "o.csv").exists()
 
 
-class TestScipyOnFirstQuantile:
-    """scipy.special loads on the first chi-square quantile, which only
-    ducompm regions and exact ducompm bounds compute; each case runs its
-    commands through ``cli.main`` in a fresh interpreter."""
+class TestNoCommandLoadsScipy:
+    """No ucdis command imports scipy, in its own process or in a worker it
+    starts.  Each case runs its commands through ``cli.main`` in a fresh
+    interpreter whose path puts first a stand-in ``scipy`` package that
+    records the id of every process importing it."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -661,41 +662,77 @@ class TestScipyOnFirstQuantile:
         "loaded = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "    loaded.append('scipy.special' in sys.modules)\n"
+        "    loaded.append(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         "print(json.dumps(loaded))\n"
     )
+    STAND_IN = (
+        "import os\n"
+        "with open(os.environ['SCIPY_IMPORT_LOG'], 'a') as log:\n"
+        "    log.write(f'{os.getpid()}\\n')\n"
+    )
 
-    def _loaded_after_each(self, *commands):
+    def _assert_no_scipy(self, tmp_path, *commands):
+        stand_in = tmp_path / "stand-in"
+        (stand_in / "scipy").mkdir(parents=True)
+        (stand_in / "scipy" / "__init__.py").write_text(self.STAND_IN)
+        log = tmp_path / "scipy-imports.log"
         src = str(Path(ucdis.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        path = os.pathsep.join(p for p in (str(stand_in), src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, SCIPY_IMPORT_LOG=str(log))
         run = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
-                             capture_output=True, text=True, env=env, timeout=120)
+                             capture_output=True, text=True, env=env, timeout=300)
         assert run.returncode == 0, run.stderr
-        return json.loads(run.stdout.splitlines()[-1])
+        assert json.loads(run.stdout.splitlines()[-1]) == [[]] * len(commands)
+        assert not log.exists(), log.read_text()
 
-    def _write(self, path, n, seed):
-        x = sample_sequence(memoryless(3), [0.5, 0.3, 0.2], n, seed)
+    def _write(self, path, n, seed, family=None):
+        family = family or memoryless(3)
+        theta = [[0.5, 0.3, 0.2]] * 3 if family.kind == "markov1" else [0.5, 0.3, 0.2]
+        x = sample_sequence(family, theta, n, seed)
         path.write_bytes(bytes(np.asarray(x, dtype=np.uint8)))
         return str(path)
 
     def test_lossless_commands_do_not_load_scipy(self, tmp_path):
         x, y = self._write(tmp_path / "x.bin", 300, 41), self._write(tmp_path / "y.bin", 3000, 42)
-        out = {name: str(tmp_path / name) for name in ("u.ucds", "u.bin", "m.ucds", "m.bin")}
+        chain = self._write(tmp_path / "c.bin", 300, 43, sources.markov1(3))
+        out = {name: str(tmp_path / name)
+               for name in ("u.ucds", "u.bin", "m.ucds", "m.bin", "c.ucds", "c.bin")}
         commands = [
             ["encode", "--strategy", "ucomp", "--k", "3", "--in", x, "--out", out["u.ucds"]],
             ["decode", "--in", out["u.ucds"], "--out", out["u.bin"]],
             ["encode", "--strategy", "ucompm", "--k", "3", "--in", x, "--memory", y,
              "--out", out["m.ucds"]],
             ["decode", "--in", out["m.ucds"], "--memory", y, "--out", out["m.bin"]],
+            ["encode", "--strategy", "ucomp", "--family", "markov1", "--k", "3", "--in", chain,
+             "--out", out["c.ucds"]],
+            ["decode", "--in", out["c.ucds"], "--out", out["c.bin"]],
             ["bounds", "--strategy", "ucomp", "--k", "3", "--n", "300"],
         ]
-        assert self._loaded_after_each(*commands) == [False] * len(commands)
+        self._assert_no_scipy(tmp_path, *commands)
         assert Path(out["u.bin"]).read_bytes() == Path(out["m.bin"]).read_bytes() \
             == Path(x).read_bytes()
+        assert Path(out["c.bin"]).read_bytes() == Path(chain).read_bytes()
 
-    def test_ducompm_encode_loads_scipy(self, tmp_path):
-        x = self._write(tmp_path / "x.bin", 300, 41)
-        encode = ["encode", "--strategy", "ducompm", "--k", "3", "--pe", "0.05",
-                  "--memory-len", "3000", "--in", x, "--out", str(tmp_path / "d.ucds")]
-        assert self._loaded_after_each(encode) == [True]
+    def test_quantile_commands_do_not_load_scipy(self, tmp_path):
+        # every command that computes a chi-square quantile, the experiment
+        # and coverage runs through a 2-worker pool
+        x, y = self._write(tmp_path / "x.bin", 300, 41), self._write(tmp_path / "y.bin", 3000, 42)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "family": "memoryless", "k": 3, "n": 300, "m": 3000, "p_e": 0.05,
+            "strategies": ["ucomp", "ucompm", "ducompm"], "trials": 4, "master_seed": 7}))
+        d, back = str(tmp_path / "d.ucds"), str(tmp_path / "d.bin")
+        commands = [
+            ["encode", "--strategy", "ducompm", "--k", "3", "--pe", "0.05",
+             "--memory-len", "3000", "--in", x, "--out", d],
+            ["decode", "--in", d, "--memory", y, "--out", back],
+            ["bounds", "--strategy", "ducompm", "--k", "3", "--n", "300", "--m", "3000",
+             "--pe", "0.05", "--mode", "exact"],
+            ["figure", "--preset", "fig2", "--mode", "exact", "--out", str(tmp_path / "f.csv")],
+            ["experiment", "--config", str(cfg), "--out", str(tmp_path / "e.csv"),
+             "--threads", "2"],
+            ["coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv"),
+             "--threads", "2"],
+        ]
+        self._assert_no_scipy(tmp_path, *commands)
+        assert Path(back).read_bytes() == Path(x).read_bytes()

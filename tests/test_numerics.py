@@ -2,7 +2,10 @@
 
 import math
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ucdis.numerics import chi2_quantile_upper, log2_unit_ball_volume
 
@@ -92,6 +95,60 @@ class TestChi2Quantile:
             chi2_quantile_upper(2, float("nan"))
         with pytest.raises(ValueError):
             chi2_quantile_upper(0, 0.5)
+
+
+def _mp_chi2_quantile_upper(d, p, start):
+    """t with P(chi2_d > t) = p, solved at 50 digits on ln of the smaller
+    tail over ln t; the tail is monotone in t, so the root found is the only
+    one."""
+    with mpmath.workdps(50):
+        a, p = mpmath.mpf(d) / 2, mpmath.mpf(p)
+        if p <= 0.5:
+            f = lambda x: mpmath.log(mpmath.gammainc(a, x, mpmath.inf, regularized=True)) - mpmath.log(p)
+        else:
+            f = lambda x: mpmath.log(mpmath.gammainc(a, 0, x, regularized=True)) - mpmath.log(1 - p)
+        return 2 * mpmath.exp(mpmath.findroot(lambda y: f(mpmath.exp(y)), mpmath.log(mpmath.mpf(start) / 2)))
+
+
+def _documented_error(d, p):
+    # chi2_quantile_upper's docstring: 2e-15, plus 2 eps |ln(1 - p)| / d as p nears 1
+    return 2e-15 + (2.0 * 2.0 ** -52 * -math.log1p(-p) / d if p > 0.5 else 0.0)
+
+
+class TestChi2QuantileAccuracy:
+    """The stdlib inverse against mpmath: double precision to a few ulps
+    over every dimension the codecs use (k - 1 for k = 2..256, 65,280 for
+    markov1 bytes) and tails from 0.9 to 1e-300."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 63, 255, 65280])
+    @pytest.mark.parametrize("p", [0.9, 0.5, 0.05, 0.01, 1e-6, 1e-40, 1e-300])
+    def test_against_mpmath(self, d, p):
+        t = chi2_quantile_upper(d, p)
+        exact = _mp_chi2_quantile_upper(d, p, t)
+        assert abs(mpmath.mpf(t) - exact) <= 2e-15 * exact
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 22, 255])
+    @pytest.mark.parametrize("p", [0.99, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+    def test_near_one_against_mpmath(self, d, p):
+        t = chi2_quantile_upper(d, p)
+        exact = _mp_chi2_quantile_upper(d, p, t)
+        assert abs(mpmath.mpf(t) - exact) <= _documented_error(d, p) * exact
+
+    @pytest.mark.parametrize("p", [1.0 - 2.0 ** -53, 1.0 - 1e-12, 0.9, 0.5, 0.05, 1e-6, 1e-40, 1e-300])
+    def test_two_dof_is_minus_two_log(self, p):
+        # Q(1, x) = exp(-x)
+        t = chi2_quantile_upper(2, p)
+        assert t == pytest.approx(-2.0 * math.log(p), rel=_documented_error(2, p), abs=0.0)
+
+    @settings(max_examples=200)
+    @given(d=st.integers(1, 65280),
+           p1=st.floats(1e-300, 1.0, exclude_max=True),
+           p2=st.floats(1e-300, 1.0, exclude_max=True))
+    def test_strictly_decreasing_in_p(self, d, p1, p2):
+        # a 1e-6 relative gap in the smaller tail moves t far beyond its error
+        lo, hi = min(p1, p2), max(p1, p2)
+        assume(hi - lo >= 1e-6 * min(lo, 1.0 - hi))
+        assert chi2_quantile_upper(d, lo) > chi2_quantile_upper(d, hi)
 
 
 class TestUnitBallVolume:
