@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from .numerics import LOG2E, chi2_quantile_upper, log2_unit_ball_volume
 from .sources import MARKOV1, SourceFamily, log_jeffreys_integral
 
-UCOMP = "ucomp"
-UCOMPM = "ucompm"
-DUCOMPM = "ducompm"
+# the paper's three strategies, in the order every table lists them
+STRATEGIES = ("ucomp", "ucompm", "ducompm")
+UCOMP, UCOMPM, DUCOMPM = STRATEGIES
 
 _TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -204,6 +204,23 @@ def redundancy_ducompm(
         terms={"leading": base.terms["leading"], "penalty": penalty},
         notes=tuple(notes),
     )
+
+
+def redundancy(
+    strategy: str, family: SourceFamily, n: int, m: int | None = None,
+    p_e: float = 0.0, mode: str = "approx",
+) -> RedundancyBreakdown:
+    """The bound of ``strategy``, one of STRATEGIES: ucomp reads neither m
+    nor p_e, ucompm needs m, ducompm needs m and reads p_e and ``mode``."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy == UCOMP:
+        return redundancy_ucomp(family, n)
+    if m is None:
+        raise ValueError(f"{strategy} requires the memory length m")
+    if strategy == UCOMPM:
+        return redundancy_ucompm(family.d, n, m)
+    return redundancy_ducompm(family, n, m, p_e, mode)
 
 
 def ellipsoid_measure(

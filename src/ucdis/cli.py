@@ -90,19 +90,11 @@ def _workers(args) -> int:
 
 def cmd_bounds(args) -> int:
     family = SourceFamily(args.family, args.k)
-    mode = args.mode
-    if args.strategy == "ucomp":
-        breakdown = bounds.redundancy_ucomp(family, args.n)
-    elif args.strategy == "ucompm":
-        if args.m is None:
-            raise ValueError("--m is required for strategy ucompm")
-        breakdown = bounds.redundancy_ucompm(family.d, args.n, args.m)
-    else:
-        if args.m is None:
-            raise ValueError("--m is required for strategy ducompm")
-        if args.pe is None:
-            raise ValueError("--pe is required for strategy ducompm")
-        breakdown = bounds.redundancy_ducompm(family, args.n, args.m, args.pe, mode)
+    if args.strategy != "ucomp" and args.m is None:
+        raise ValueError(f"--m is required for strategy {args.strategy}")
+    if args.strategy == "ducompm" and args.pe is None:
+        raise ValueError("--pe is required for strategy ducompm")
+    breakdown = bounds.redundancy(args.strategy, family, args.n, args.m, args.pe, args.mode)
     doc = {
         "strategy": breakdown.strategy,
         "family": family.kind,
@@ -111,7 +103,7 @@ def cmd_bounds(args) -> int:
         "n": breakdown.n,
         "m": breakdown.m,
         "p_e": breakdown.p_e,
-        "mode": mode,
+        "mode": args.mode,
         "terms": breakdown.terms,
         "total_bits": breakdown.total_bits,
         "rate": breakdown.rate,
@@ -241,7 +233,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--m", type=int, help="memory length (symbols)")
     b.add_argument("--pe", type=float, help="permissible error probability")
     b.add_argument("--mode", choices=["approx", "exact"], default="approx")
-    b.add_argument("--strategy", choices=harness.STRATEGIES, required=True)
+    b.add_argument("--strategy", choices=bounds.STRATEGIES, required=True)
     b.set_defaults(func=cmd_bounds)
 
     f = sub.add_parser("figure", help="write a redundancy-rate curve table as CSV")
@@ -251,7 +243,7 @@ def _build_parser() -> _Parser:
     f.set_defaults(func=cmd_figure)
 
     e = sub.add_parser("encode", help="encode a symbol file (one byte per symbol)")
-    e.add_argument("--strategy", choices=harness.STRATEGIES, required=True)
+    e.add_argument("--strategy", choices=bounds.STRATEGIES, required=True)
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--k", type=int, default=256)

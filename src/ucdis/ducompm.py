@@ -45,6 +45,7 @@ from .sources import (
     _finite_integers,
     _validate_counts,
     _validate_sequence,
+    context_counts,
     fisher_info,
     smoothed_estimate,
 )
@@ -135,8 +136,7 @@ class Ellipsoid:
 
 def type_of(x, k: int) -> np.ndarray:
     """Count vector of a sequence (its type)."""
-    x = _validate_sequence(x, k)
-    return np.bincount(x, minlength=k)
+    return context_counts(SourceFamily("memoryless", k), x)[0]
 
 
 def _ellipsoid(counts, n: int, m: int, p_e: float, k: int) -> Ellipsoid:
@@ -183,8 +183,7 @@ def ellipsoid_contains(e: Ellipsoid, t, n: int) -> bool:
     t = np.asarray(t)
     if t.shape != (e._d + 1,):
         raise ValueError(f"type has shape {t.shape}, expected ({e._d + 1},)")
-    if (t < 0).any():
-        raise ValueError("type counts must be nonnegative")
+    t = _validate_counts(SourceFamily("memoryless", t.size), [t])[0]
     if int(t.sum()) != n:
         raise ValueError(f"type counts sum to {int(t.sum())}, expected n={n}")
     t = t.tolist()

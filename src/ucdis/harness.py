@@ -23,6 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import bounds, codec, ducompm
+from .bounds import STRATEGIES
 from .rng import RNG_ALGORITHM, split_seed
 from .sources import (
     MARKOV1,
@@ -34,8 +35,6 @@ from .sources import (
     sample_sequence,
     validate_theta,
 )
-
-STRATEGIES = ("ucomp", "ucompm", "ducompm")
 
 
 class ValidationError(ValueError):
@@ -236,64 +235,54 @@ def _map_trials(fn, cfg: ExperimentConfig, workers: int) -> list:
 
 
 def _experiment_trial(cfg: ExperimentConfig, t: int):
+    """Trial t's (n H(theta_t) in bits, {strategy: (coded bits, error indicator)})."""
     need_memory = "ucompm" in cfg.strategies or "ducompm" in cfg.strategies
     family, theta, counts, x = _draw(cfg, t, need_memory)
-    h_bits = cfg.n * entropy_rate(family, theta)
-    lens, errs = {}, {}
+    results = {}
     for s, memory in (("ucomp", np.zeros_like(counts)), ("ucompm", counts)):
         if s in cfg.strategies:
             stream = codec.encode_ucompm(family, memory, x)
             if not np.array_equal(codec.decode_ucompm(family, memory, stream, cfg.n), x):
                 raise CodecIntegrityError(f"{s} round-trip mismatch at trial {t}")
-            lens[s] = float(stream.bit_length)
-            errs[s] = 0.0
+            results[s] = (float(stream.bit_length), 0.0)
     if "ducompm" in cfg.strategies:
         dcfg = cfg.ducompm_config()
         word = ducompm.encode_ducompm(x, dcfg)
         outcome = ducompm.decode_ducompm(word.payload(), counts, cfg.n, dcfg)
         ok = outcome.ok and np.array_equal(outcome.sequence, x)
-        lens["ducompm"] = float(word.coded_bits)
-        errs["ducompm"] = 0.0 if ok else 1.0
-    ordered = [s for s in STRATEGIES if s in cfg.strategies]
-    return tuple(lens[s] for s in ordered) + tuple(errs[s] for s in ordered) + (h_bits,)
+        results["ducompm"] = (float(word.coded_bits), 0.0 if ok else 1.0)
+    return cfg.n * entropy_rate(family, theta), results
 
 
 def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialData:
     """Raw per-trial lengths and error indicators (basis for run_experiment)."""
     cfg.validate()
     ordered = tuple(s for s in STRATEGIES if s in cfg.strategies)
-    table = np.asarray(_map_trials(_experiment_trial, cfg, workers), dtype=np.float64)
-    ns = len(ordered)
-    return TrialData(
-        strategies=ordered,
-        lengths={s: table[:, i] for i, s in enumerate(ordered)},
-        errors={s: table[:, ns + i] for i, s in enumerate(ordered)},
-        entropy_bits=table[:, 2 * ns],
-    )
-
-
-def _theory_bits(cfg: ExperimentConfig, strategy: str) -> float:
-    family = SourceFamily(cfg.family_kind, cfg.k)
-    if strategy == "ucomp":
-        return bounds.redundancy_ucomp(family, cfg.n).total_bits
-    if strategy == "ucompm":
-        return bounds.redundancy_ucompm(family.d, cfg.n, cfg.m).total_bits
-    return bounds.redundancy_ducompm(family, cfg.n, cfg.m, cfg.p_e, "approx").total_bits
+    entropy_bits, results = zip(*_map_trials(_experiment_trial, cfg, workers))
+    lengths, errors = {}, {}
+    for s in ordered:
+        lengths[s], errors[s] = np.array([r[s] for r in results], dtype=np.float64).T
+    return TrialData(strategies=ordered, lengths=lengths, errors=errors,
+                     entropy_bits=np.array(entropy_bits, dtype=np.float64))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
-    """One SummaryRow per requested strategy; deterministic given the config."""
+    """One SummaryRow per requested strategy; deterministic given the config.
+    Each row's bound and p_e come from ``bounds.redundancy``: p_e is the
+    config's for ducompm and 0 for the lossless strategies."""
     data = run_trials(cfg, workers=workers)
+    family = SourceFamily(cfg.family_kind, cfg.k)
     out = []
     for s in data.strategies:
+        bound = bounds.redundancy(s, family, cfg.n, cfg.m, cfg.p_e)
         lens = data.lengths[s]
         red = lens - data.entropy_bits
         stderr = float(red.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
         out.append(SummaryRow(
-            strategy=s, k=cfg.k, n=cfg.n, m=cfg.m, p_e=cfg.p_e if s == "ducompm" else 0.0,
+            strategy=s, k=cfg.k, n=cfg.n, m=cfg.m, p_e=bound.p_e,
             trials=cfg.trials, avg_len_bits=float(lens.mean()),
             avg_redundancy_bits=float(red.mean()), stderr_bits=stderr,
-            error_rate=float(data.errors[s].mean()), theory_bits=_theory_bits(cfg, s),
+            error_rate=float(data.errors[s].mean()), theory_bits=bound.total_bits,
         ))
     return out
 

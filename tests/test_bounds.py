@@ -205,6 +205,40 @@ class TestDucompmBound:
             bounds.redundancy_ducompm(MEM256, 512, 32768, 1e-6, "other")
 
 
+class TestRedundancyDispatch:
+    GRID = [
+        (fam, n, m, p_e, mode)
+        for fam in (MEM2, MEM4, markov1(3))
+        for n in (10, 1000)
+        for m in (5, 4000)
+        for p_e in (0.0, 1e-3, 0.2)
+        for mode in ("approx", "exact")
+    ]
+
+    @pytest.mark.parametrize("fam,n,m,p_e,mode", GRID)
+    def test_each_strategy_is_its_own_function(self, fam, n, m, p_e, mode):
+        assert bounds.redundancy("ucomp", fam, n, m, p_e, mode) == bounds.redundancy_ucomp(fam, n)
+        assert bounds.redundancy("ucompm", fam, n, m, p_e, mode) == bounds.redundancy_ucompm(fam.d, n, m)
+        assert (bounds.redundancy("ducompm", fam, n, m, p_e, mode)
+                == bounds.redundancy_ducompm(fam, n, m, p_e, mode))
+
+    def test_strategy_list(self):
+        # harness rows and CLI choices follow this order
+        assert bounds.STRATEGIES == ("ucomp", "ucompm", "ducompm")
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            bounds.redundancy("ucompmm", MEM4, 100, 400, 0.1)
+
+    @pytest.mark.parametrize("strategy", ["ucompm", "ducompm"])
+    def test_memory_length_required(self, strategy):
+        with pytest.raises(ValueError, match="requires the memory length m"):
+            bounds.redundancy(strategy, MEM4, 100, None, 0.1)
+
+    def test_ucomp_needs_no_memory(self):
+        assert bounds.redundancy("ucomp", MEM4, 100) == bounds.redundancy_ucomp(MEM4, 100)
+
+
 class TestEllipsoidMeasure:
     def test_example(self):
         ps = bounds.ellipsoid_measure(MEM2, 1000, 1000, 0.01, "exact")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ucdis import ducompm, harness
+from ucdis import ducompm, harness, sources
 from ucdis.bounds import delta_d
 from ucdis.codec import BitReader, BitStream
 from ucdis.ducompm import (
@@ -185,6 +185,13 @@ class TestEllipsoid:
         e = build_ellipsoid([[50, 50]], 100, 0.1, 2)
         with pytest.raises(ValueError, match="nonnegative"):
             ellipsoid_contains(e, [150, -50], 100)
+
+    @pytest.mark.parametrize("t", [[2.5, 7.5], [math.nan, 10.0]])
+    def test_non_integer_count_rejected(self, t):
+        # the walk lists integer types only, so its replay must not admit others
+        e = build_ellipsoid([[5, 5]], 10, 0.05, 2)
+        with pytest.raises(ValueError, match="integers"):
+            ellipsoid_contains(e, t, 10)
 
     def test_infinite_threshold_holds_every_type(self):
         center = np.array([0.5, 0.3, 0.2])
@@ -888,8 +895,9 @@ class TestCodewords:
             DucompmConfig(k=2, m=100, p_e=0.0)
 
     def test_sequence_checked_twice_and_counted_once(self, monkeypatch):
-        # the encoder checks x in type_of and in type_rank (public, so it
-        # keeps its own check); the hash width and the hash read the type
+        # the encoder checks x in type_of (through sources.context_counts)
+        # and in type_rank (public, so it keeps its own check); the hash
+        # width and the hash read the type
         cfg = DucompmConfig(k=3, m=3000, p_e=0.05)
         x = sample_sequence(MEM3, [0.5, 0.3, 0.2], 300, seed=77)
         t = type_of(x, 3)
@@ -898,9 +906,10 @@ class TestCodewords:
         want = DCodeword(b=b, hash_value=universal_hash(t, cfg.hash_seed, b), rank=rank,
                          rank_bit_length=(size - 1).bit_length())
         checked = []
-        real = ducompm._validate_sequence
-        monkeypatch.setattr(ducompm, "_validate_sequence",
-                            lambda x, k: checked.append(len(x)) or real(x, k))
+        real = sources._validate_sequence
+        for module in (ducompm, sources):
+            monkeypatch.setattr(module, "_validate_sequence",
+                                lambda x, k: checked.append(len(x)) or real(x, k))
         counted = mock.Mock(wraps=type_of)
         monkeypatch.setattr(ducompm, "type_of", counted)
         for _ in range(2):
