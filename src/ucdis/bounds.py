@@ -15,11 +15,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .codec import STRATEGIES
 from .numerics import LOG2E, chi2_quantile_upper, log2_unit_ball_volume
 from .sources import MARKOV1, SourceFamily, log_jeffreys_integral
 
-# the paper's three strategies, in the order every table lists them
-STRATEGIES = ("ucomp", "ucompm", "ducompm")
 UCOMP, UCOMPM, DUCOMPM = STRATEGIES
 
 _TWO_PI_E = 2.0 * math.pi * math.e

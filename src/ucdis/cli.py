@@ -16,7 +16,9 @@ import sys
 
 import numpy as np
 
-from . import bounds, codec, ducompm, harness
+# every command runs these; bounds, ducompm and harness are imported by the
+# commands that run them, so a lossless encode or decode never loads them
+from . import codec
 from .sources import MARKOV1, MEMORYLESS, SourceFamily, context_counts
 
 EXIT_OK = 0
@@ -89,6 +91,8 @@ def _workers(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
+
     family = SourceFamily(args.family, args.k)
     if args.strategy != "ucomp" and args.m is None:
         raise ValueError(f"--m is required for strategy {args.strategy}")
@@ -114,6 +118,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from . import bounds
+
     table = bounds.figure_preset(args.preset, args.mode)
     _write_bytes(args.out, table.to_csv().encode())
     return EXIT_OK
@@ -143,6 +149,8 @@ def cmd_encode(args) -> int:
             raise ValueError("--pe is required for strategy ducompm")
         if family.kind != MEMORYLESS:
             raise ValueError("ducompm supports only --family memoryless")
+        from . import ducompm
+
         cfg = ducompm.DucompmConfig(
             k=args.k, m=args.memory_len, p_e=args.pe, hash_seed=args.seed
         )
@@ -177,6 +185,8 @@ def cmd_decode(args) -> int:
                 f"{args.infile}: ducompm container of family {family.kind}; "
                 "ducompm supports only memoryless sources"
             )
+        from . import ducompm
+
         cfg = ducompm.DucompmConfig(
             k=container.k, m=container.m, p_e=container.p_e, hash_seed=args.seed
         )
@@ -188,33 +198,31 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path: str, trials_override) -> harness.ExperimentConfig:
-    doc = json.loads(_read_bytes(path))
-    if trials_override is not None and isinstance(doc, dict):
-        doc["trials"] = trials_override
+def _run_harness(args, run: str) -> int:
+    """Load the JSON config, run ``harness.<run>`` on it and write the
+    results as JSON if the output name ends in .json, else as CSV."""
+    from . import harness
+
+    doc = json.loads(_read_bytes(args.config))
+    if args.trials is not None and isinstance(doc, dict):
+        doc["trials"] = args.trials
     cfg = harness.ExperimentConfig.from_json(doc)
     cfg.validate()
-    return cfg
-
-
-def _emit_results(result, out_path: str, cfg: harness.ExperimentConfig):
-    if out_path.endswith(".json"):
+    result = getattr(harness, run)(cfg, workers=_workers(args))
+    if args.out.endswith(".json"):
         text = harness.render_json(result, config=cfg)
     else:
         text = harness.render_csv(result)
-    _write_bytes(out_path, text.encode())
+    _write_bytes(args.out, text.encode())
+    return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load_config(args.config, args.trials)
-    _emit_results(harness.run_experiment(cfg, workers=_workers(args)), args.out, cfg)
-    return EXIT_OK
+    return _run_harness(args, "run_experiment")
 
 
 def cmd_coverage(args) -> int:
-    cfg = _load_config(args.config, args.trials)
-    _emit_results(harness.run_coverage(cfg, workers=_workers(args)), args.out, cfg)
-    return EXIT_OK
+    return _run_harness(args, "run_coverage")
 
 
 @functools.cache
@@ -233,7 +241,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--m", type=int, help="memory length (symbols)")
     b.add_argument("--pe", type=float, help="permissible error probability")
     b.add_argument("--mode", choices=["approx", "exact"], default="approx")
-    b.add_argument("--strategy", choices=bounds.STRATEGIES, required=True)
+    b.add_argument("--strategy", choices=codec.STRATEGIES, required=True)
     b.set_defaults(func=cmd_bounds)
 
     f = sub.add_parser("figure", help="write a redundancy-rate curve table as CSV")
@@ -243,7 +251,7 @@ def _build_parser() -> _Parser:
     f.set_defaults(func=cmd_figure)
 
     e = sub.add_parser("encode", help="encode a symbol file (one byte per symbol)")
-    e.add_argument("--strategy", choices=bounds.STRATEGIES, required=True)
+    e.add_argument("--strategy", choices=codec.STRATEGIES, required=True)
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--k", type=int, default=256)
@@ -251,7 +259,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--memory", help="memory sequence file (ucompm only)")
     e.add_argument("--memory-len", type=int, help="memory length m (ducompm only)")
     e.add_argument("--pe", type=float, help="permissible error probability (ducompm)")
-    e.add_argument("--seed", type=int, default=ducompm.DEFAULT_HASH_SEED,
+    e.add_argument("--seed", type=int, default=codec.DEFAULT_HASH_SEED,
                    help="shared hash seed (ducompm)")
     e.set_defaults(func=cmd_encode)
 
@@ -259,7 +267,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
     d.add_argument("--memory", help="memory sequence file (ucompm and ducompm)")
-    d.add_argument("--seed", type=int, default=ducompm.DEFAULT_HASH_SEED,
+    d.add_argument("--seed", type=int, default=codec.DEFAULT_HASH_SEED,
                    help="shared hash seed (ducompm)")
     d.set_defaults(func=cmd_decode)
 
@@ -285,7 +293,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _DeclaredFailure as e:
         code, message = EXIT_DECODE_FAILURE, str(e)
-    except (ValueError, ducompm.ResourceLimitError) as e:
+    except (ValueError, codec.ResourceLimitError) as e:
         code, message = EXIT_VALIDATION, str(e)
     except OSError as e:
         code, message = EXIT_IO, str(e)

@@ -53,6 +53,14 @@ class FramingError(ValueError):
     """Bitstream or container is malformed (bad magic, truncated payload, ...)."""
 
 
+class ResourceLimitError(RuntimeError):
+    """ducompm's ellipsoid walk passed the configured candidate cap (a
+    configuration error, not a coding error).  The work is the lattice points
+    the walk visits plus 2 k per walk step, a step being one level of the
+    walk over one chunk of prefixes.  Defined here so the CLI maps it to an
+    exit code without importing ducompm."""
+
+
 @dataclass(frozen=True)
 class BitStream:
     """Packed bits, MSB-first within bytes; trailing pad bits are zero."""
@@ -483,9 +491,13 @@ def decode_ucompm(family: SourceFamily, counts, bits: BitStream, n: int) -> np.n
 
 MAGIC = b"UCDS"
 VERSION = 1
-STRATEGY_IDS = {"ucomp": 0, "ucompm": 1, "ducompm": 2}
+# the paper's three strategies, in the order every table lists them; a
+# container's strategy byte is the index here
+STRATEGIES = ("ucomp", "ucompm", "ducompm")
+STRATEGY_IDS = {s: i for i, s in enumerate(STRATEGIES)}
 FAMILY_IDS = {MEMORYLESS: 0, MARKOV1: 1}
-_STRATEGY_NAMES = {v: k for k, v in STRATEGY_IDS.items()}
+#: ducompm's shared hash seed when none is given (the container carries none)
+DEFAULT_HASH_SEED = 0x5EED
 _FAMILY_NAMES = {v: k for k, v in FAMILY_IDS.items()}
 _HEADER = struct.Struct(">4sBBBHIIdI")
 
@@ -531,7 +543,7 @@ def unpack_container(blob: bytes) -> Container:
         raise FramingError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FramingError(f"unsupported version {version}")
-    if strat not in _STRATEGY_NAMES or fam not in _FAMILY_NAMES:
+    if strat >= len(STRATEGIES) or fam not in _FAMILY_NAMES:
         raise FramingError("unknown strategy or family id")
     payload = blob[_HEADER.size :]
     if len(payload) != (bitlen + 7) // 8:
@@ -539,7 +551,7 @@ def unpack_container(blob: bytes) -> Container:
             f"payload length {len(payload)} bytes inconsistent with {bitlen} bits"
         )
     return Container(
-        strategy=_STRATEGY_NAMES[strat],
+        strategy=STRATEGIES[strat],
         family_kind=_FAMILY_NAMES[fam],
         k=k,
         n=n,

@@ -37,7 +37,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import BitReader, BitStream, BitWriter, FramingError, _earlier_counts
+from .codec import (
+    DEFAULT_HASH_SEED,
+    BitReader,
+    BitStream,
+    BitWriter,
+    FramingError,
+    ResourceLimitError,
+    _earlier_counts,
+)
 from .numerics import chi2_quantile_upper
 from .rng import MASK64, mix64, mix64_array, split_seed
 from .sources import (
@@ -52,15 +60,7 @@ from .sources import (
 
 MERSENNE61 = (1 << 61) - 1
 
-DEFAULT_HASH_SEED = 0x5EED
 DEFAULT_CANDIDATE_CAP = 10_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """The ellipsoid walk's work passed the configured candidate cap (a
-    configuration error, not a coding error).  The work is the lattice points
-    the walk visits plus 2 k per walk step, a step being one level of the
-    walk over one chunk of prefixes."""
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,13 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from . import bounds, codec, ducompm
-from .bounds import STRATEGIES
+from .codec import DEFAULT_HASH_SEED, STRATEGIES
 from .rng import RNG_ALGORITHM, split_seed
 from .sources import (
     MARKOV1,
@@ -86,7 +85,7 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     theta: tuple | None = None
-    hash_seed: int = ducompm.DEFAULT_HASH_SEED
+    hash_seed: int = DEFAULT_HASH_SEED
     collision_budget: float | None = None
     candidate_cap: int = ducompm.DEFAULT_CANDIDATE_CAP
 
@@ -230,6 +229,9 @@ def _map_trials(fn, cfg: ExperimentConfig, workers: int) -> list:
     trial = partial(fn, cfg)
     if workers <= 1:
         return [trial(t) for t in range(cfg.trials)]
+    # imported here, so a 1-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial, range(cfg.trials), chunksize=max(1, cfg.trials // (8 * workers))))
 

@@ -22,6 +22,14 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def fresh_env(*paths, **variables):
+    """The environment of a fresh interpreter that imports this checkout's
+    ucdis: ``paths``, then its source tree, first on PYTHONPATH."""
+    src = str(Path(ucdis.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (*paths, src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
 def assert_validation_error(capsys, *args, names):
     """The command exits 1 with no traceback and an error naming ``names``:
     one ``error:`` line, and a JSON object under ``--json``."""
@@ -408,6 +416,25 @@ class TestDucompmCli:
         assert code == 3
         assert "failure" in err
 
+    def test_candidate_cap_exits_one(self, tmp_path):
+        # in a fresh interpreter, where ducompm is first imported by the
+        # command itself, after main has set up its exit-code table
+        src, enc = tmp_path / "x.bin", tmp_path / "w.ucds"
+        self._write_seq(src, memoryless(8), [1 / 8] * 8, 200, seed=9)
+        for mode in ([], ["--json"]):
+            run = subprocess.run(
+                [sys.executable, "-m", "ucdis.cli", *mode, "encode", "--strategy", "ducompm",
+                 "--k", "8", "--pe", "0.05", "--memory-len", "2000", "--in", str(src),
+                 "--out", str(enc)],
+                capture_output=True, text=True, env=fresh_env(), timeout=120)
+            assert run.returncode == 1
+            assert "Traceback" not in run.stderr
+            message = json.loads(run.stderr)["error"]["message"] if mode else run.stderr
+            assert "candidate_cap=10000000" in message
+            if not mode:
+                assert run.stderr.startswith("error: ")
+        assert not enc.exists()
+
     def test_hash_width_overflow_is_a_validation_error(self, capsys, tmp_path):
         # p_e = 1e-320 makes N / beta overflow to inf
         src = tmp_path / "x.bin"
@@ -652,10 +679,13 @@ class TestExperimentCli:
 
 class TestNoCommandLoadsScipy:
     """No ucdis command imports scipy, in its own process or in a worker it
-    starts.  Each case runs its commands through ``cli.main`` in a fresh
-    interpreter whose path puts first a stand-in ``scipy`` package that
-    records the id of every process importing it."""
+    starts, and each command loads only the modules it runs.  Each case runs
+    its commands through ``cli.main`` in a fresh interpreter whose path puts
+    first a stand-in ``scipy`` package that records the id of every process
+    importing it."""
 
+    # outside ucdis, the modules whose loading is recorded
+    WATCHED = ("scipy", "multiprocessing", "concurrent.futures", "csv")
     SCRIPT = (
         "import json, sys\n"
         "from ucdis import cli\n"
@@ -664,26 +694,34 @@ class TestNoCommandLoadsScipy:
         "    assert cli.main(argv) == 0, argv\n"
         "    loaded.append(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         "print(json.dumps(loaded))\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "                        if name.startswith('ucdis.') or name in json.loads(sys.argv[2]))))\n"
     )
     STAND_IN = (
         "import os\n"
         "with open(os.environ['SCIPY_IMPORT_LOG'], 'a') as log:\n"
         "    log.write(f'{os.getpid()}\\n')\n"
     )
+    # what every command loads: the CLI and the modules a lossless codec runs
+    LOSSLESS = {"ucdis.cli", "ucdis.codec", "ucdis.numerics", "ucdis.rng", "ucdis.sources"}
 
     def _assert_no_scipy(self, tmp_path, *commands):
+        """Runs ``commands`` in one fresh interpreter and asserts that none
+        loads scipy; returns the ucdis submodules and WATCHED modules loaded
+        after the last."""
         stand_in = tmp_path / "stand-in"
-        (stand_in / "scipy").mkdir(parents=True)
+        (stand_in / "scipy").mkdir(parents=True, exist_ok=True)
         (stand_in / "scipy" / "__init__.py").write_text(self.STAND_IN)
         log = tmp_path / "scipy-imports.log"
-        src = str(Path(ucdis.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (str(stand_in), src, os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, PYTHONPATH=path, SCIPY_IMPORT_LOG=str(log))
-        run = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+        env = fresh_env(str(stand_in), SCIPY_IMPORT_LOG=str(log))
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands),
+                              json.dumps(self.WATCHED)],
                              capture_output=True, text=True, env=env, timeout=300)
         assert run.returncode == 0, run.stderr
-        assert json.loads(run.stdout.splitlines()[-1]) == [[]] * len(commands)
+        *_, per_command, loaded = run.stdout.splitlines()
+        assert json.loads(per_command) == [[]] * len(commands)
         assert not log.exists(), log.read_text()
+        return set(json.loads(loaded))
 
     def _write(self, path, n, seed, family=None):
         family = family or memoryless(3)
@@ -692,7 +730,15 @@ class TestNoCommandLoadsScipy:
         path.write_bytes(bytes(np.asarray(x, dtype=np.uint8)))
         return str(path)
 
+    def _config(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "family": "memoryless", "k": 3, "n": 300, "m": 3000, "p_e": 0.05,
+            "strategies": ["ucomp", "ucompm", "ducompm"], "trials": 4, "master_seed": 7}))
+        return str(cfg)
+
     def test_lossless_commands_do_not_load_scipy(self, tmp_path):
+        # nor the ducompm codec, the harness, the bounds engine or a pool
         x, y = self._write(tmp_path / "x.bin", 300, 41), self._write(tmp_path / "y.bin", 3000, 42)
         chain = self._write(tmp_path / "c.bin", 300, 43, sources.markov1(3))
         out = {name: str(tmp_path / name)
@@ -706,33 +752,42 @@ class TestNoCommandLoadsScipy:
             ["encode", "--strategy", "ucomp", "--family", "markov1", "--k", "3", "--in", chain,
              "--out", out["c.ucds"]],
             ["decode", "--in", out["c.ucds"], "--out", out["c.bin"]],
-            ["bounds", "--strategy", "ucomp", "--k", "3", "--n", "300"],
         ]
-        self._assert_no_scipy(tmp_path, *commands)
+        assert self._assert_no_scipy(tmp_path, *commands) == self.LOSSLESS
         assert Path(out["u.bin"]).read_bytes() == Path(out["m.bin"]).read_bytes() \
             == Path(x).read_bytes()
         assert Path(out["c.bin"]).read_bytes() == Path(chain).read_bytes()
 
     def test_quantile_commands_do_not_load_scipy(self, tmp_path):
-        # every command that computes a chi-square quantile, the experiment
-        # and coverage runs through a 2-worker pool
+        # every command that computes a chi-square quantile, by command class:
+        # the ducompm codec, the bounds commands (with the ucomp bound) and
+        # the experiment and coverage runs through a 2-worker pool
         x, y = self._write(tmp_path / "x.bin", 300, 41), self._write(tmp_path / "y.bin", 3000, 42)
-        cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({
-            "family": "memoryless", "k": 3, "n": 300, "m": 3000, "p_e": 0.05,
-            "strategies": ["ucomp", "ucompm", "ducompm"], "trials": 4, "master_seed": 7}))
         d, back = str(tmp_path / "d.ucds"), str(tmp_path / "d.bin")
-        commands = [
+        codec_commands = [
             ["encode", "--strategy", "ducompm", "--k", "3", "--pe", "0.05",
              "--memory-len", "3000", "--in", x, "--out", d],
             ["decode", "--in", d, "--memory", y, "--out", back],
+        ]
+        assert self._assert_no_scipy(tmp_path, *codec_commands) == self.LOSSLESS | {"ucdis.ducompm"}
+        assert Path(back).read_bytes() == Path(x).read_bytes()
+        bounds_commands = [
+            ["bounds", "--strategy", "ucomp", "--k", "3", "--n", "300"],
             ["bounds", "--strategy", "ducompm", "--k", "3", "--n", "300", "--m", "3000",
              "--pe", "0.05", "--mode", "exact"],
             ["figure", "--preset", "fig2", "--mode", "exact", "--out", str(tmp_path / "f.csv")],
-            ["experiment", "--config", str(cfg), "--out", str(tmp_path / "e.csv"),
-             "--threads", "2"],
-            ["coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv"),
-             "--threads", "2"],
         ]
-        self._assert_no_scipy(tmp_path, *commands)
-        assert Path(back).read_bytes() == Path(x).read_bytes()
+        assert self._assert_no_scipy(tmp_path, *bounds_commands) == self.LOSSLESS | {"ucdis.bounds"}
+        cfg = self._config(tmp_path)
+        self._assert_no_scipy(
+            tmp_path,
+            ["experiment", "--config", cfg, "--out", str(tmp_path / "e.csv"), "--threads", "2"],
+            ["coverage", "--config", cfg, "--out", str(tmp_path / "c.csv"), "--threads", "2"],
+        )
+
+    def test_one_worker_harness_commands_load_no_pool(self, tmp_path):
+        cfg = self._config(tmp_path)
+        commands = [["experiment", "--config", cfg, "--out", str(tmp_path / "e.csv")],
+                    ["coverage", "--config", cfg, "--out", str(tmp_path / "c.json")]]
+        assert self._assert_no_scipy(tmp_path, *commands) == self.LOSSLESS | {
+            "ucdis.bounds", "ucdis.ducompm", "ucdis.harness", "csv"}

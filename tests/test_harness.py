@@ -1,5 +1,6 @@
 """Harness tests: determinism, validation, aggregation, emission formats."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -115,7 +116,7 @@ class TestDeterminism:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         cfg = small_cfg(trials=3)
         assert run_experiment(cfg, workers=10**6) == run_experiment(cfg)
