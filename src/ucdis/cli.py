@@ -207,7 +207,6 @@ def _run_harness(args, run: str) -> int:
     if args.trials is not None and isinstance(doc, dict):
         doc["trials"] = args.trials
     cfg = harness.ExperimentConfig.from_json(doc)
-    cfg.validate()
     result = getattr(harness, run)(cfg, workers=_workers(args))
     if args.out.endswith(".json"):
         text = harness.render_json(result, config=cfg)
@@ -295,6 +294,9 @@ def main(argv=None) -> int:
         code, message = EXIT_DECODE_FAILURE, str(e)
     except (ValueError, codec.ResourceLimitError) as e:
         code, message = EXIT_VALIDATION, str(e)
+    except MemoryError as e:
+        # numpy's message names the refused allocation
+        code, message = EXIT_VALIDATION, f"out of memory: {str(e) or 'an allocation failed'}"
     except OSError as e:
         code, message = EXIT_IO, str(e)
     if json_mode:

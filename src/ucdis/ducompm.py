@@ -14,12 +14,12 @@ collision budget beta, is meant to let a wrong candidate through with
 probability about beta.  So the design's error budget is p_e + beta (2 p_e
 by default), and no bound on the total is shown.
 
-One rule decides which types are inside an ellipsoid: the float64
-arithmetic of the Fincke-Pohst walk that lists them (``_lines``), which
-``ellipsoid_contains`` replays for a single type.  The encoder's hash width,
-the decoder's candidates and the harness's coverage all use it.  The walk's
-work, its visited lattice points plus 2 k per walk step, is bounded by
-``candidate_cap``.
+One rule decides which types are inside an ellipsoid: the float64 arithmetic
+of one level step (``_level``), run by the Fincke-Pohst walk that lists them
+(``_lines``) on chunks of prefixes and by ``ellipsoid_contains`` along one
+type's path.  The encoder's hash width, the decoder's candidates and the
+harness's coverage all use it.  The walk's work, its visited lattice points
+plus 2 k per walk step, is bounded by ``candidate_cap``.
 
 Markov sources are not supported here (type enumeration over transition
 matrices with flow constraints is a different problem); the strictly lossless
@@ -174,57 +174,67 @@ def build_ellipsoid(counts, n: int, p_e: float, k: int) -> Ellipsoid:
 _CHUNK = 2**15
 
 
+def _level(e: Ellipsoid, n: int, i: int, v, partial):
+    """The region's rule at level i, for prefixes t_0..t_(i-1): a chunk as
+    float64 arrays or one as float64 scalars, with v_j = t_j/n - c_j and
+    partial forms P = sum_(j<i) D_j (t_j/n - mu_j)**2.  Returns the line's
+    bounds ceil(mid - half) and floor(mid + half), mid = n mu_i with mu_i =
+    c_i - sum_(j<i) M_ij v_j and half = n sqrt((q - P) / D_i), and
+    ``child(t, p)``: for children t_i = t of the prefixes p (an index into
+    the chunk, ``()`` for one prefix), the partial form with t's term added,
+    v_i, and whether q minus it is >= 0, which a child needs to go on."""
+    c, piv, thr = e._center_free[i], e._piv[i], e.chi2_threshold
+    acc = np.zeros(np.shape(partial))
+    for m_ij, v_j in zip(e._mult[i], v):
+        acc = acc + m_ij * v_j
+    mu = c - acc
+    mid = n * mu
+    half = n * np.sqrt((thr - partial) / piv)
+
+    def child(t, p):
+        x = t / n
+        dx = x - mu[p]
+        part = partial[p] + piv * (dx * dx)
+        return part, x - c, thr - part >= 0.0
+
+    return np.ceil(mid - half), np.floor(mid + half), child
+
+
 def ellipsoid_contains(e: Ellipsoid, t, n: int) -> bool:
     """Membership of a type t (k nonnegative counts summing to n) in the
-    acceptance region, by the walk's rule (see ``_lines``): a scalar replay
-    of the walk's float64 operations, in its order, along t's own path.
-    Python floats round each operation as numpy's elementwise ufuncs do, so
-    the replay admits exactly the types the walk lists."""
+    acceptance region: the walk's level step (``_level``) run along t's own
+    path, so it admits exactly the types the walk lists."""
     t = np.asarray(t)
     if t.shape != (e._d + 1,):
         raise ValueError(f"type has shape {t.shape}, expected ({e._d + 1},)")
     t = _validate_counts(SourceFamily("memoryless", t.size), [t])[0]
     if int(t.sum()) != n:
         raise ValueError(f"type counts sum to {int(t.sum())}, expected n={n}")
-    t = t.tolist()
-    c, piv, mult, thr = e._center_free, e._piv, e._mult, e.chi2_threshold
-    partial = 0.0
-    v = []
+    v, partial, live = [], np.float64(0.0), e.chi2_threshold >= 0.0
     for i in range(e._d):
-        if not thr - partial >= 0.0:
+        if not live:
             return False
-        acc = 0.0
-        for j in range(i):
-            acc = acc + mult[i][j] * v[j]
-        mu = c[i] - acc
-        mid = n * mu
-        half = n * math.sqrt((thr - partial) / piv[i])
-        # ceil(mid - half) <= t_i <= floor(mid + half) for an integer t_i;
+        lo, hi, child = _level(e, n, i, v, partial)
         # 0 <= t_i <= rest holds already
-        if not mid - half <= t[i] <= mid + half:
+        if not lo <= t[i] <= hi:
             return False
-        x = t[i] / n
-        dx = x - mu
-        partial = partial + piv[i] * (dx * dx)
-        v.append(x - c[i])
+        partial, v_i, live = child(t[i], ())
+        v.append(v_i)
     return True
 
 
 def _lines(e: Ellipsoid, n: int, k: int, cap: int):
-    """Fincke-Pohst walk: the region's types as runs on integer lines.
+    """Fincke-Pohst walk (Math. Comp. 44, 1985): the region's types as runs
+    on integer lines.
 
     Yields ``(prefix, rest, t0, t1)`` arrays with one row per run: the types
     ``(*prefix[j], t, rest[j] - t)`` with t0[j] <= t <= t1[j] are the region's,
     each in one run, in ascending lexicographic order across the yields.
     ``prefix`` is the int64 matrix of the first k - 2 counts.
 
-    The walk's float64 arithmetic defines the region (Fincke and Pohst, Math.
-    Comp. 44, 1985).  With v_j = t_j/n - c_j, mu_i = c_i - sum_(j<i) M_ij v_j
-    and rest = n - sum_(j<i) t_j, a prefix t_0..t_(i-1) with partial form P =
-    sum_(j<i) D_j (t_j/n - mu_j)**2 has the children t_i in [ceil(n mu_i - h),
-    floor(n mu_i + h)] and [0, rest], h = n sqrt((q - P) / D_i), and a child
-    goes on only if q - P >= 0 with its own term added.  A type is inside if
-    its path passes every level; ``ellipsoid_contains`` replays that path.
+    Each level runs ``_level`` and keeps its bounds within [0, rest], rest =
+    n - sum_(j<i) t_j; a type is inside if its path passes every level, and
+    ``ellipsoid_contains`` runs the same step along that path.
 
     The walk is breadth-first within a chunk of prefixes, whose bounds at one
     level are computed as arrays, and depth-first over chunks.  Its work is
@@ -234,7 +244,6 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
     level's children are made.
     """
     d = k - 1
-    c, piv, mult, thr = e._center_free, e._piv, e._mult, e.chi2_threshold
     size = max(1, _CHUNK // d)
     # column j holds the chunk of prefixes of length j + 1 that the walk is
     # in: their count t_j, v_j = t_j/n - c_j, and their parent's row in
@@ -251,14 +260,9 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
         anc = [slice(None)] * i  # anc[j]: each prefix's row in column j
         for j in range(i - 1, 0, -1):
             anc[j - 1] = par[j][anc[j]]
-        acc = np.zeros(rest.size)
-        for j in range(i):
-            acc = acc + mult[i][j] * vcol[j][anc[j]]
-        mu = c[i] - acc
-        mid = n * mu
-        half = n * np.sqrt((thr - partial) / piv[i])
-        lo = np.maximum(np.ceil(mid - half), 0.0)
-        hi = np.minimum(np.floor(mid + half), rest)
+        lo, hi, child = _level(e, n, i, (vcol[j][anc[j]] for j in range(i)), partial)
+        lo = np.maximum(lo, 0.0)
+        hi = np.minimum(hi, rest)
         cnt = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
         ends = np.add.accumulate(cnt)
         total = int(ends[-1])
@@ -279,23 +283,21 @@ def _lines(e: Ellipsoid, n: int, k: int, cap: int):
         off = lo.astype(np.int64) - (ends - cnt)  # t = off[row] + child index
         # release this level's index and bound arrays before descending: anc
         # alone holds i arrays per level, O(d**2) chunks over the stack
-        del anc, acc, mid, half, lo, hi, cnt
+        del anc, lo, hi, cnt
         for start in range(0, total, size):
             idx = np.arange(start, min(start + size, total))
             p = ends.searchsorted(idx, side="right")
             t = off[p] + idx
-            x = t / n
-            dx = x - mu[p]
-            part = partial[p] + piv[i] * (dx * dx)
-            live = (thr - part >= 0.0).nonzero()[0]
+            part, v, live = child(t, p)
+            live = live.nonzero()[0]
             if live.size < idx.size:
-                p, t, x, part = p[live], t[live], x[live], part[live]
+                p, t, part, v = p[live], t[live], part[live], v[live]
             if live.size:
-                tcol[i], vcol[i], par[i] = t, x - c[i], p
-                del idx, x, dx, live
+                tcol[i], vcol[i], par[i] = t, v, p
+                del idx, live
                 yield from walk(i + 1, rest[p] - t, part)
 
-    if thr >= 0.0:
+    if e.chi2_threshold >= 0.0:
         yield from walk(0, np.array([n], dtype=np.int64), np.zeros(1))
 
 

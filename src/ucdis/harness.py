@@ -89,7 +89,7 @@ class ExperimentConfig:
     collision_budget: float | None = None
     candidate_cap: int = ducompm.DEFAULT_CANDIDATE_CAP
 
-    def validate(self):
+    def __post_init__(self):
         # types first: the range checks below compare and iterate the values
         errs = []
         for name in ("k", "n", "m", "trials", "master_seed", "hash_seed", "candidate_cap"):
@@ -147,7 +147,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, doc) -> ExperimentConfig:
         """The config read from its JSON form (see ``to_json``): unknown and
-        missing keys raise ValidationError; ``validate`` checks the values."""
+        missing keys raise ValidationError, and so do invalid values."""
         if not isinstance(doc, dict):
             raise ValidationError([f"config: must be a JSON object, got {type(doc).__name__}"])
         by_key = {_json_key(f.name): f for f in fields(cls)}
@@ -213,7 +213,7 @@ def _draw(cfg: ExperimentConfig, t: int, need_memory: bool = True):
     family = SourceFamily(cfg.family_kind, cfg.k)
     trial_seed = split_seed(cfg.master_seed, t)
     if cfg.theta is not None:
-        theta = validate_theta(family, np.asarray(cfg.theta, dtype=np.float64))
+        theta = np.asarray(cfg.theta, dtype=np.float64)
     else:
         theta = sample_jeffreys(family, split_seed(trial_seed, 0))
     y = sample_sequence(family, theta, cfg.m, split_seed(trial_seed, 1)) if need_memory else ()
@@ -258,7 +258,6 @@ def _experiment_trial(cfg: ExperimentConfig, t: int):
 
 def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialData:
     """Raw per-trial lengths and error indicators (basis for run_experiment)."""
-    cfg.validate()
     ordered = tuple(s for s in STRATEGIES if s in cfg.strategies)
     entropy_bits, results = zip(*_map_trials(_experiment_trial, cfg, workers))
     lengths, errors = {}, {}
@@ -297,7 +296,6 @@ def _coverage_trial(cfg: ExperimentConfig, t: int) -> float:
 
 def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> CoverageReport:
     """Fraction of trials whose sequence type falls inside the memory's ellipsoid."""
-    cfg.validate()
     errs = []
     if cfg.family_kind != MEMORYLESS:
         errs.append("family: coverage runs require the memoryless family")

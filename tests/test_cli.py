@@ -43,6 +43,21 @@ def assert_validation_error(capsys, *args, names):
             assert err.startswith("error: ")
 
 
+def assert_fresh_validation_error(*args, names, timeout):
+    """``assert_validation_error`` in a fresh ``python -m ucdis.cli``, where
+    each command imports what it runs after main has set up its exit-code
+    table; a command still running after ``timeout`` seconds fails."""
+    for mode in ([], ["--json"]):
+        run = subprocess.run([sys.executable, "-m", "ucdis.cli", *mode, *args],
+                             capture_output=True, text=True, env=fresh_env(), timeout=timeout)
+        assert run.returncode == 1 and run.stdout == ""
+        assert "Traceback" not in run.stderr
+        message = json.loads(run.stderr)["error"]["message"] if mode else run.stderr
+        assert names in message
+        if not mode:
+            assert run.stderr.startswith("error: ")
+
+
 class TestBounds:
     def test_anchor(self, capsys):
         code, out, _ = run_cli(
@@ -110,6 +125,17 @@ class TestBounds:
     def test_length_beyond_a_float_is_a_validation_error(self, capsys, strategy):
         assert_validation_error(capsys, "bounds", "--k", "4", "--n", str(10**400), *strategy,
                                 names="n must convert to a finite float")
+
+    @pytest.mark.parametrize("args", [
+        ["--k", str(10**15), "--pe", "0.95"],
+        ["--family", "markov1", "--k", str(10**20), "--pe", "0.05"],
+    ], ids=["memoryless-1e15", "markov1-1e20"])
+    def test_quantile_beyond_its_domain_exits_one(self, args):
+        # above d = 2^30 the quantile's series runs for more than 30 s (d near
+        # 10^15) or divides by zero (d near 10^40)
+        assert_fresh_validation_error(
+            "bounds", "--strategy", "ducompm", "--n", "1000", "--m", "1000", "--mode", "exact",
+            *args, names="d <= 2**30", timeout=10)
 
 
 class TestRepeatedMain:
@@ -418,21 +444,12 @@ class TestDucompmCli:
 
     def test_candidate_cap_exits_one(self, tmp_path):
         # in a fresh interpreter, where ducompm is first imported by the
-        # command itself, after main has set up its exit-code table
+        # command itself
         src, enc = tmp_path / "x.bin", tmp_path / "w.ucds"
         self._write_seq(src, memoryless(8), [1 / 8] * 8, 200, seed=9)
-        for mode in ([], ["--json"]):
-            run = subprocess.run(
-                [sys.executable, "-m", "ucdis.cli", *mode, "encode", "--strategy", "ducompm",
-                 "--k", "8", "--pe", "0.05", "--memory-len", "2000", "--in", str(src),
-                 "--out", str(enc)],
-                capture_output=True, text=True, env=fresh_env(), timeout=120)
-            assert run.returncode == 1
-            assert "Traceback" not in run.stderr
-            message = json.loads(run.stderr)["error"]["message"] if mode else run.stderr
-            assert "candidate_cap=10000000" in message
-            if not mode:
-                assert run.stderr.startswith("error: ")
+        assert_fresh_validation_error(
+            "encode", "--strategy", "ducompm", "--k", "8", "--pe", "0.05", "--memory-len", "2000",
+            "--in", str(src), "--out", str(enc), names="candidate_cap=10000000", timeout=120)
         assert not enc.exists()
 
     def test_hash_width_overflow_is_a_validation_error(self, capsys, tmp_path):
@@ -622,6 +639,25 @@ class TestExperimentCli:
             assert field in message
             if not mode:
                 assert err.startswith("error: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "coverage"])
+    @pytest.mark.parametrize("error, names", [
+        (MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+                     "and data type float64"), "out of memory: Unable to allocate 8.00 TiB"),
+        (MemoryError(), "out of memory: an allocation failed"),
+    ], ids=["numpy-message", "no-message"])
+    def test_failed_allocation_exits_one(self, capsys, tmp_path, monkeypatch, command, error,
+                                         names):
+        # the draw stands in for one numpy cannot allocate: a real one of
+        # that size can succeed under memory overcommit and exhaust the host
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(harness, "sample_sequence", refuse)
+        cfg = self._config(tmp_path, strategies=["ducompm"], trials=2)
+        assert_validation_error(capsys, command, "--config", str(cfg),
+                                "--out", str(tmp_path / "o.csv"), names=names)
         assert not (tmp_path / "o.csv").exists()
 
     def test_hash_width_overflow_is_a_validation_error(self, capsys, tmp_path):

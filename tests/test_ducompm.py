@@ -188,7 +188,8 @@ class TestEllipsoid:
 
     @pytest.mark.parametrize("t", [[2.5, 7.5], [math.nan, 10.0]])
     def test_non_integer_count_rejected(self, t):
-        # the walk lists integer types only, so its replay must not admit others
+        # the walk lists integer types only, so its step run along one type's
+        # path must not admit others
         e = build_ellipsoid([[5, 5]], 10, 0.05, 2)
         with pytest.raises(ValueError, match="integers"):
             ellipsoid_contains(e, t, 10)
@@ -329,9 +330,11 @@ class TestRegionEdge:
         """The threshold sits on a type's edge, the least threshold that admits
         it, and then one float below it.  The last level, whose partial form
         is the largest, mostly decides the edge: there the type's count is
-        ceil(mid - half) or floor(mid + half) exactly.  At every chunk size
-        the walk lists what ellipsoid_contains admits over all types, the
-        edge type first in, then out."""
+        ceil(mid - half) or floor(mid + half) exactly.  The walk and
+        ellipsoid_contains run one level step, on chunks of prefixes and along
+        one type's path: at every chunk size the walk lists what
+        ellipsoid_contains admits over all types, the edge type first in,
+        then out."""
         e, n, k, _ = case
         t = tuple(np.random.default_rng(seed).multinomial(n, e.center).tolist())
         edge = edge_threshold(e, t, n)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -39,31 +40,42 @@ def small_cfg(**overrides):
 class TestValidation:
     def test_zero_trials(self):
         with pytest.raises(ValidationError) as exc:
-            small_cfg(trials=0).validate()
+            small_cfg(trials=0)
         assert any("trials" in f for f in exc.value.fields)
 
     def test_multiple_fields_reported(self):
         with pytest.raises(ValidationError) as exc:
-            small_cfg(trials=0, k=1, strategies=("bogus",)).validate()
+            small_cfg(trials=0, k=1, strategies=("bogus",))
         joined = " ".join(exc.value.fields)
         assert "trials" in joined and "k" in joined and "bogus" in joined
 
     def test_ducompm_needs_memoryless(self):
         with pytest.raises(ValidationError) as exc:
-            small_cfg(family_kind="markov1").validate()
+            small_cfg(family_kind="markov1")
         assert any("memoryless" in f for f in exc.value.fields)
 
     def test_given_theta_validated(self):
         with pytest.raises(ValidationError) as exc:
-            small_cfg(theta=(0.5, 0.6)).validate()
+            small_cfg(theta=(0.5, 0.6))
         assert any(f.startswith("theta:") for f in exc.value.fields)
         with pytest.raises(ValidationError):
-            small_cfg(theta=(0.2, 0.3, 0.5)).validate()  # k = 2
-        small_cfg(theta=(0.25, 0.75)).validate()
+            small_cfg(theta=(0.2, 0.3, 0.5))  # k = 2
+        small_cfg(theta=(0.25, 0.75))
 
     def test_ducompm_pe_range(self):
         with pytest.raises(ValidationError):
-            small_cfg(p_e=0.0).validate()
+            small_cfg(p_e=0.0)
+
+    def test_invalid_config_cannot_be_made(self):
+        # a config that exists is valid: the checks run in the constructor,
+        # which dataclasses.replace calls too
+        valid = small_cfg()
+        with pytest.raises(ValidationError) as exc:
+            ExperimentConfig(**{**dataclasses.asdict(valid), "trials": 0})
+        assert exc.value.fields == ["trials: must be >= 1, got 0"]
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(valid, k=1)
+        assert exc.value.fields == ["k: must be >= 2, got 1", "ducompm: k must be >= 2, got 1"]
 
 
 class TestConfigFile:
@@ -74,7 +86,7 @@ class TestConfigFile:
         example = section[section.index("```json") + len("```json"):]
         example = example[:example.index("```")]
         doc = json.loads(re.sub(r"\s*//.*", "", example))
-        ExperimentConfig.from_json(doc).validate()
+        ExperimentConfig.from_json(doc)
 
     def test_unknown_and_missing_keys_named(self):
         doc = small_cfg().to_json()

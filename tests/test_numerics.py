@@ -95,6 +95,9 @@ class TestChi2Quantile:
             chi2_quantile_upper(2, float("nan"))
         with pytest.raises(ValueError):
             chi2_quantile_upper(0, 0.5)
+        for d in (2**30 + 1, 10**15, 10**40):
+            with pytest.raises(ValueError, match=r"d <= 2\*\*30"):
+                chi2_quantile_upper(d, 0.95)
 
 
 def _mp_chi2_quantile_upper(d, p, start):
@@ -126,6 +129,19 @@ class TestChi2QuantileAccuracy:
         t = chi2_quantile_upper(d, p)
         exact = _mp_chi2_quantile_upper(d, p, t)
         assert abs(mpmath.mpf(t) - exact) <= 2e-15 * exact
+
+    @pytest.mark.parametrize("d", [2**20, 2**24, 2**30])
+    @pytest.mark.parametrize("p", [0.95, 0.05, 1e-6])
+    def test_up_to_the_domain_ceiling(self, d, p):
+        # solved on the upper tail alone: at these d mpmath's series for the
+        # lower tail does not converge
+        t = chi2_quantile_upper(d, p)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(d) / 2
+            exact = mpmath.findroot(
+                lambda x: mpmath.gammainc(a, x / 2, mpmath.inf, regularized=True) - p,
+                mpmath.mpf(t))
+            assert abs(mpmath.mpf(t) - exact) <= 2e-16 * exact
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 22, 255])
     @pytest.mark.parametrize("p", [0.99, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
